@@ -49,16 +49,16 @@ using namespace hds;
 
 constexpr int kEvents = 10000;
 
-QueueKind kind_of(std::int64_t arg) { return arg == 0 ? QueueKind::kCalendar : QueueKind::kHeap; }
+// The scheduler series keep their /0 argument so their names match the
+// committed baseline and the CI speedup gate.
 
 // Fill-then-drain: 10k events spread over 97 ticks, drain timed manually.
 void BM_Scheduler_EventThroughput(benchmark::State& state) {
-  const QueueKind kind = kind_of(state.range(0));
   // Summed across repetitions: keeping only the last drain's count made the
   // reported ratio a single-sample value under UseManualTime.
   std::uint64_t drain_allocs = 0;
   for (auto _ : state) {
-    Scheduler sched(kind);
+    Scheduler sched;
     std::uint64_t fired = 0;
     for (int k = 0; k < kEvents; ++k) {
       sched.at(k % 97, [&fired] { ++fired; });
@@ -76,20 +76,19 @@ void BM_Scheduler_EventThroughput(benchmark::State& state) {
       static_cast<double>(state.iterations() * static_cast<std::uint64_t>(kEvents));
   state.SetItemsProcessed(state.iterations() * kEvents);
 }
-BENCHMARK(BM_Scheduler_EventThroughput)->Arg(0)->Arg(1)->UseManualTime();
+BENCHMARK(BM_Scheduler_EventThroughput)->Arg(0)->UseManualTime();
 
 // Steady-state churn: 64 self-rescheduling chains (the DES shape every timer
 // and heartbeat loop produces), so the queue never drains and the window
 // rotates continuously.
 void BM_Scheduler_SelfReschedulingChurn(benchmark::State& state) {
-  const QueueKind kind = kind_of(state.range(0));
   constexpr int kChains = 64;
   constexpr SimTime kHorizon = 4000;
   // Summed across repetitions, as in BM_Scheduler_EventThroughput.
   std::uint64_t churn_allocs = 0;
   std::uint64_t total_fired = 0;
   for (auto _ : state) {
-    Scheduler sched(kind);
+    Scheduler sched;
     std::uint64_t fired = 0;
     std::function<void(SimTime, int)> arm = [&](SimTime at, int chain) {
       sched.at(at, [&, at, chain] {
@@ -112,7 +111,7 @@ void BM_Scheduler_SelfReschedulingChurn(benchmark::State& state) {
                        : static_cast<double>(churn_allocs) / static_cast<double>(total_fired);
   state.SetItemsProcessed(static_cast<std::int64_t>(total_fired));
 }
-BENCHMARK(BM_Scheduler_SelfReschedulingChurn)->Arg(0)->Arg(1)->UseManualTime();
+BENCHMARK(BM_Scheduler_SelfReschedulingChurn)->Arg(0)->UseManualTime();
 
 struct Flooder final : Process {
   explicit Flooder(SimTime period) : period_(period) {}

@@ -1,9 +1,7 @@
 #include "chaos/injector.h"
 
 #include <algorithm>
-#include <chrono>
 
-#include "rt/runtime.h"
 #include "sim/system.h"
 
 namespace hds::chaos {
@@ -90,45 +88,12 @@ CopyVerdict FaultInjector::on_copy(SimTime now, ProcIndex from, ProcIndex to,
 
 void FaultInjector::arm(System& sys) {
   sys.set_interposer(this);
-  crash_fn_ = [&sys](ProcIndex i, const std::string& why) { sys.inject_crash(i, why); };
-  alive_fn_ = [&sys](ProcIndex i) { return sys.is_alive(i); };
+  sys_ = &sys;
   for (const FaultClause& c : plan_.clauses) {
     if (c.kind != ClauseKind::kCrashAt) continue;
     const ProcIndex victim = c.proc;
     sys.scheduler().at(c.at, [&sys, victim] { sys.inject_crash(victim, "chaos:crash-at"); });
   }
-}
-
-void FaultInjector::arm(RtSystem& sys) {
-  sys.set_interposer(this);
-  crash_fn_ = [&sys](ProcIndex i, const std::string&) { sys.crash(i); };
-  alive_fn_ = [&sys](ProcIndex i) { return !sys.is_crashed(i); };
-  std::vector<std::pair<SimTime, ProcIndex>> at_clauses;
-  for (const FaultClause& c : plan_.clauses) {
-    if (c.kind == ClauseKind::kCrashAt) at_clauses.emplace_back(c.at, c.proc);
-  }
-  if (at_clauses.empty()) return;
-  std::sort(at_clauses.begin(), at_clauses.end());
-  // Clause times are milliseconds from arm() on this substrate. The thread
-  // captures &sys: construct the injector before the RtSystem (or stop the
-  // system before destroying the injector) so joining is safe.
-  rt_crash_thread_ = std::jthread([this, &sys, at_clauses](std::stop_token st) {
-    using Clock = std::chrono::steady_clock;
-    const auto epoch = Clock::now();
-    for (const auto& [at, victim] : at_clauses) {
-      const auto deadline = epoch + std::chrono::milliseconds(at);
-      while (Clock::now() < deadline) {
-        if (st.stop_requested()) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      if (st.stop_requested()) return;
-      sys.crash(victim);
-      std::lock_guard lk(mu_);
-      ++stats_.crashes_injected;
-      stats_.crash_log.push_back("crash-at victim=" + std::to_string(victim) +
-                                 " at=" + std::to_string(at));
-    }
-  });
 }
 
 FdOutputListener* FaultInjector::trigger_listener(ProcIndex /*i*/, FdOutputListener* inner) {
@@ -139,13 +104,13 @@ FdOutputListener* FaultInjector::trigger_listener(ProcIndex /*i*/, FdOutputListe
 
 ProcIndex FaultInjector::lowest_alive_carrier(Id id) const {
   for (ProcIndex i = 0; i < ids_.size(); ++i) {
-    if (ids_[i] == id && alive_fn_ && alive_fn_(i)) return i;
+    if (ids_[i] == id && sys_ != nullptr && sys_->is_alive(i)) return i;
   }
   return static_cast<ProcIndex>(-1);
 }
 
 void FaultInjector::crash_now(ProcIndex victim, const std::string& why, SimTime at) {
-  if (crash_fn_) crash_fn_(victim, why);
+  if (sys_ != nullptr) sys_->inject_crash(victim, why);
   std::lock_guard lk(mu_);
   ++stats_.crashes_injected;
   stats_.crash_log.push_back(why + " victim=" + std::to_string(victim) +

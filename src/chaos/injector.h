@@ -1,29 +1,26 @@
-// FaultInjector — executes a FaultPlan against either substrate.
+// FaultInjector — executes a FaultPlan against a substrate.
 //
 // The injector is a LinkInterposer (link clauses are applied per copy, on
-// the simulator's Network or the thread runtime's broadcast path) plus a
-// set of effectors for the crash clauses: fixed-instant crashes are
-// scheduled through the substrate's own mechanism, and event-triggered
-// crashes ride the FdOutputListener hooks — the injector chains itself in
-// front of whatever listener the harness already installs (the online
-// monitor), observes real FD output changes, and crashes a victim when a
-// trigger clause matches.
+// the simulator's Network or on net::NetSystem's send path via
+// set_interposer) plus the simulator's crash clauses: fixed-instant crashes
+// are scheduled on its clock, and event-triggered crashes ride the
+// FdOutputListener hooks — the injector chains itself in front of whatever
+// listener the harness already installs (the online monitor), observes real
+// FD output changes, and crashes a victim when a trigger clause matches.
 //
 // Determinism: all randomness (loss, duplication, jitter) comes from one
 // seeded Rng owned by the injector; on the simulator the whole run is
 // therefore a pure function of (case config, plan, seed). Thread safety:
-// every mutable member is guarded by one mutex, because on the rt substrate
-// on_copy and the listener callbacks arrive on node threads. Crash
-// effectors are invoked outside the lock (lock order: injector mutex before
-// any substrate lock, never the reverse).
+// every mutable member is guarded by one mutex, because on NetSystem
+// on_copy arrives on several threads, and one injector may serve several
+// in-process NetSystems. Crashes are injected outside the lock (lock order:
+// injector mutex before any substrate lock, never the reverse).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chaos/fault_plan.h"
@@ -35,7 +32,6 @@
 
 namespace hds {
 class System;
-class RtSystem;
 }  // namespace hds
 
 namespace hds::chaos {
@@ -62,13 +58,10 @@ class FaultInjector final : public LinkInterposer {
   CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to,
                       const std::string& type) override;
 
-  // Attaches to a substrate: installs the interposer and the crash
-  // effectors, and schedules kCrashAt clauses. Call before start(); the
-  // injector must outlive the system (declare it before the system, or on
-  // the rt substrate *construct* it first so destruction joins the crash
-  // thread after the system stopped).
+  // Attaches to the simulator: installs the interposer, points the crash
+  // clauses at `sys`, and schedules kCrashAt clauses. Call before start(); the
+  // injector must outlive the system.
   void arm(System& sys);
-  void arm(RtSystem& sys);
 
   // Listener chaining for process i: returns a listener that forwards every
   // event to `inner` (may be null) and then evaluates trigger clauses.
@@ -99,10 +92,8 @@ class FaultInjector final : public LinkInterposer {
   std::vector<std::set<Label>> quora_punished_;  // per clause (quorum triggers)
   std::vector<std::unique_ptr<ChainListener>> listeners_;
 
-  // Substrate effectors (set by arm()).
-  std::function<void(ProcIndex, const std::string&)> crash_fn_;
-  std::function<bool(ProcIndex)> alive_fn_;
-  std::jthread rt_crash_thread_;  // kCrashAt driver on the rt substrate
+  // The simulator crash clauses act on (set by arm()); null until armed.
+  System* sys_ = nullptr;
 };
 
 }  // namespace hds::chaos

@@ -2,14 +2,15 @@
 //
 // A LinkInterposer sees every per-destination copy at the moment it is put
 // on the wire and returns a verdict: drop it, inflate its latency, or
-// inject trailing duplicate copies. The simulator's Network and the thread
-// runtime's mailbox path both consult an installed interposer; when none is
-// installed the cost is a single null check, so runs without a fault plan
-// pay nothing. The chaos subsystem (src/chaos/) is the intended
+// inject trailing duplicate copies. The simulator's Network and
+// net::NetSystem's send path both consult an installed interposer; when
+// none is installed the cost is a single null check, so runs without a
+// fault plan pay nothing. The chaos subsystem (src/chaos/) is the intended
 // implementation — this header exists so neither engine depends on it.
 //
 // Call context: the simulator calls from the event loop (single-threaded);
-// the thread runtime calls from whichever node thread is broadcasting.
+// NetSystem calls from whichever of its threads is sending (node thread
+// for broadcasts; recv and ARQ threads for retransmissions and acks).
 // Implementations must synchronize internally and be deterministic as a
 // function of (seed, call order) so failing runs replay exactly.
 #pragma once

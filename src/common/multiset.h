@@ -10,16 +10,15 @@
 // Storage is a policy: the default FlatStore keeps (value, count) entries in
 // a sorted std::vector — the working sets here are identifier bags of at
 // most a few dozen distinct values, where a contiguous scan beats a
-// node-based tree on every operation. MapStore is the original std::map
-// backend, kept as the semantics reference; the property suite cross-checks
-// every operation against it. Both stores iterate entries in ascending value
-// order, which the algebra below exploits with linear merges.
+// node-based tree on every operation. A store iterates its entries in
+// ascending value order, which the algebra below exploits with linear
+// merges; the property suite cross-checks every operation against a
+// std::map-backed reference store it defines.
 #pragma once
 
 #include <algorithm>
 #include <compare>
 #include <cstddef>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -92,35 +91,6 @@ class FlatStore {
                             [](const Entry& e, const T& x) { return e.first < x; });
   }
 
-  Entries entries_;
-};
-
-// The original std::map storage, kept as the behavioral reference.
-template <typename T>
-class MapStore {
- public:
-  using Entries = std::map<T, std::size_t>;
-
-  [[nodiscard]] const Entries& entries() const { return entries_; }
-  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
-
-  [[nodiscard]] const std::size_t* find(const T& v) const {
-    auto it = entries_.find(v);
-    return it == entries_.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] std::size_t* find(const T& v) {
-    auto it = entries_.find(v);
-    return it == entries_.end() ? nullptr : &it->second;
-  }
-
-  [[nodiscard]] std::size_t& at_or_insert(const T& v) { return entries_[v]; }
-
-  void erase(const T& v) { entries_.erase(v); }
-
-  void append(const T& v, std::size_t count) { entries_.emplace_hint(entries_.end(), v, count); }
-
- private:
   Entries entries_;
 };
 
@@ -237,8 +207,7 @@ class Multiset {
     return out;
   }
 
-  // Sorted (value, count) entries — a std::vector of pairs for the flat
-  // backend, a std::map for the map backend; both iterate identically.
+  // Sorted (value, count) entries (a std::vector of pairs for FlatStore).
   [[nodiscard]] const CountMap& counts() const { return store_.entries(); }
 
   [[nodiscard]] std::string to_string() const {
@@ -257,7 +226,7 @@ class Multiset {
   }
 
   // Lexicographic over the sorted (value, count) entries — the same total
-  // order the std::map backend's container comparison produced.
+  // order a std::map container comparison produces.
   friend std::weak_ordering operator<=>(const Multiset& a, const Multiset& b) {
     return std::lexicographical_compare_three_way(
         a.store_.entries().begin(), a.store_.entries().end(), b.store_.entries().begin(),
@@ -322,10 +291,5 @@ class Multiset {
   Store store_;
   std::size_t size_ = 0;
 };
-
-// The std::map-backed reference variant (property tests cross-check every
-// operation of the default flat backend against it).
-template <typename T>
-using MapMultiset = Multiset<T, MapStore<T>>;
 
 }  // namespace hds

@@ -12,8 +12,8 @@
 // an HB older than the current settled point grows the lag.
 //
 // Assumption beyond HPS (documented honestly): homonyms advance sequence
-// numbers at the same rate — true on the simulator's exact timers; on the
-// thread runtime clock drift would eventually skew counts. Fig. 6 needs no
+// numbers at the same rate — true on the simulator's exact timers; over
+// real sockets clock drift would eventually skew counts. Fig. 6 needs no
 // such assumption, which is why the paper's construction pays the replies.
 // Cost: n broadcasts per period, total n² copies — versus Fig. 6's n polls
 // *plus up to n² reply broadcasts* per round (n³ copies worst case).

@@ -12,7 +12,7 @@
 // The online property monitors (obs/monitor.h) are the intended consumer.
 //
 // Callback context: on the simulator, calls happen inside the event loop
-// (single-threaded); on the thread runtime, inside the process's own
+// (single-threaded); on NetSystem, inside the process's own node
 // thread — a listener shared across processes must synchronize internally.
 #pragma once
 

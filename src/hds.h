@@ -21,8 +21,6 @@
 #include "sim/timing.h"            // IWYU pragma: export
 #include "sim/tracelog.h"          // IWYU pragma: export
 
-#include "rt/runtime.h"            // IWYU pragma: export
-
 #include "fd/ground_truth.h"       // IWYU pragma: export
 #include "fd/interfaces.h"         // IWYU pragma: export
 #include "fd/oracles.h"            // IWYU pragma: export

@@ -147,8 +147,8 @@ std::optional<ControlBody> peek_control_body(const std::uint8_t* data, std::size
 std::optional<std::uint8_t> peek_tag(const std::uint8_t* data, std::size_t len);
 
 // Encoded v1 frame size of `m` as sent by (sender_index, sender_id);
-// nullopt when the type is unregistered. This is what the sim/rt substrates
-// use to estimate byte costs comparably with the UDP substrate. Computed by
+// nullopt when the type is unregistered. This is what the simulator uses to
+// estimate byte costs comparably with the UDP substrate. Computed by
 // a counting encoder — nothing is materialized, nothing allocates.
 // Deliberately the UNTRACED frame size (the causal extension is excluded)
 // so byte accounting stays identical with tracing on or off.
@@ -156,7 +156,7 @@ std::optional<std::size_t> encoded_frame_size(const CodecRegistry& reg, const Me
                                               ProcIndex sender_index, Id sender_id);
 
 // Decomposed pieces of encoded_frame_size, for byte meters that memoize the
-// per-sender envelope and the per-type codec resolution (sim/rt substrates):
+// per-sender envelope and the per-type codec resolution (the simulator):
 // frame size = frame_overhead + varint_size(body) + body.
 std::size_t frame_overhead(ProcIndex sender_index, Id sender_id);
 std::size_t encoded_body_size(const BodyCodec& c, const Message& m);

@@ -14,8 +14,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 }
 
-// The local process: mailbox (time-ordered) and dispatch thread, the same
-// discipline as RtSystem's per-node state (handlers run only here).
+// The local process: its time-ordered mailbox and dispatch thread (handlers
+// run only here).
 class NetSystem::Node {
  public:
   explicit Node(NetSystem& sys) : sys_(sys), env_(*this) {}
@@ -267,8 +267,13 @@ bool NetSystem::await_peers(std::chrono::milliseconds timeout) {
         send_control(kTagHello, i);
       }
     }
+    // Wait on the predicate, not a bare timeout: an ack that lands between
+    // the probes above and this wait must end the barrier, not be slept
+    // through until the next probe round.
     std::unique_lock lk(peers_mu_);
-    peers_cv_.wait_for(lk, std::chrono::milliseconds(25));
+    peers_cv_.wait_for(lk, std::chrono::milliseconds(25), [this] {
+      return std::all_of(heard_from_.begin(), heard_from_.end(), [](bool h) { return h; });
+    });
   }
 }
 

@@ -1,13 +1,14 @@
 // UDP cluster substrate: runs ONE local process of an n-process deployment
-// over real sockets, with the same Env contract as sim::System and
-// rt::RtSystem (Env time units are milliseconds here, as on the thread
-// runtime). Peers are other OS processes (or other NetSystem instances in
-// the same process — each owns its own socket), so a cluster of hds_node
-// daemons and an in-process test harness use identical code.
+// over real sockets, with the same Env contract as sim::System (Env time
+// units are milliseconds here). Peers are other OS processes (or other
+// NetSystem instances in the same process — each owns its own socket), so a
+// cluster of hds_node daemons and an in-process test harness use identical
+// code; the in-process form is how the algorithms run under real
+// concurrency.
 //
-// Concurrency discipline mirrors rt::RtSystem: the local process's state is
-// touched only by its node thread; query() posts a closure into the node
-// mailbox and waits. Three internal threads (four with reliability on):
+// Concurrency discipline: the local process's state is touched only by its
+// node thread; query() posts a closure into the node mailbox and waits.
+// Three internal threads (four with reliability on):
 //   - node:   time-ordered mailbox dispatch (handlers, timers, queries);
 //   - recv:   recvfrom -> split_batch -> decode_frame -> mailbox;
 //   - sender: per-destination batching (flush on size or time budget),
@@ -94,7 +95,7 @@ struct NetConfig {
   std::size_t trace_capacity = 0;
 };
 
-// Counter parity with NetworkStats / RtNetworkStats, plus the transport
+// Counter parity with the simulator's NetworkStats, plus the transport
 // quantities that only exist once real datagrams are involved.
 struct NetNetworkStats {
   std::uint64_t broadcasts = 0;         // local broadcast() invocations
@@ -150,7 +151,7 @@ class NetSystem {
   [[nodiscard]] bool is_crashed() const;
 
   // Runs `fn` on the node thread against the local process and returns the
-  // result (same contract as RtSystem::query, restricted to self).
+  // result. Blocks until executed; throws if the local process crashed.
   template <typename F>
   auto query(F&& fn) -> decltype(fn(std::declval<Process&>())) {
     using R = decltype(fn(std::declval<Process&>()));

@@ -28,7 +28,8 @@
 //
 // The monitor is observer machinery: it never feeds anything back into the
 // run. It is internally synchronized, so the per-process listeners may be
-// driven from rt::RtSystem threads as well as from the simulator loop.
+// driven from net::NetSystem node threads as well as from the simulator
+// loop.
 #pragma once
 
 #include <cstdint>

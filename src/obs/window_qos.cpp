@@ -51,8 +51,8 @@ WindowQos::Bucket& WindowQos::advance(SimTime at) {
     }
     cur_idx_ = idx;
   } else if (idx < cur_idx_) {
-    // A straggler timestamp (thread-runtime clock skew): clamp into the
-    // oldest live sub-window rather than corrupt an already-recycled slot.
+    // A straggler timestamp (clock skew between NetSystem nodes): clamp
+    // into the oldest live sub-window rather than corrupt a recycled slot.
     idx = std::max<std::int64_t>(0, std::max(idx, cur_idx_ - windows + 1));
   }
   return ring_[idx % windows];

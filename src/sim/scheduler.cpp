@@ -12,11 +12,7 @@ void Scheduler::at(SimTime t, Action fn) {
 
 void Scheduler::at_lane(SimTime t, Lane lane, Action fn) {
   if (t < now_) throw std::invalid_argument("Scheduler::at: time in the past");
-  if (kind_ == QueueKind::kCalendar) {
-    calendar_.push(t, lane, std::move(fn));
-  } else {
-    heap_.push(t, lane, std::move(fn));
-  }
+  queue_.push(t, lane, std::move(fn));
 }
 
 bool Scheduler::step() {
@@ -24,7 +20,7 @@ bool Scheduler::step() {
   HDS_PROF_SCOPE(obs::ProfSubsystem::kEventQueue);
   SimTime t = 0;
   Lane lane = 0;
-  Action fn = kind_ == QueueKind::kCalendar ? calendar_.pop(t, lane) : heap_.pop(t, lane);
+  Action fn = queue_.pop(t, lane);
   now_ = t;
   current_lane_ = lane;
   ++executed_;

@@ -106,7 +106,7 @@ System::System(SystemConfig cfg)
   // Shards, their networks, and the cross-shard mailboxes.
   shards_vec_.reserve(shards_);
   for (std::size_t s = 0; s < shards_; ++s) {
-    shards_vec_.push_back(std::make_unique<ShardState>(cfg.queue, &trace_));
+    shards_vec_.push_back(std::make_unique<ShardState>(&trace_));
   }
   if (shards_ > 1) {
     for (std::size_t i = 0; i < shards_ * shards_; ++i) {

@@ -57,7 +57,6 @@ struct SmrSimParams {
   obs::MetricsRegistry* metrics = nullptr;
   chaos::FaultInjector* chaos = nullptr;      // armed before start
   LinkInterposer* link_interposer = nullptr;  // wins over the injector's seam
-  QueueKind queue = QueueKind::kCalendar;
   // Shard count for the conservative-synchronization engine; bit-identical
   // results at any value. Effective only in full-stack mode without chaos /
   // link_interposer: the oracle substrate reads sys.now() mid-dispatch and

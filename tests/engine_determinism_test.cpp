@@ -1,10 +1,12 @@
 // The hot-path rework's safety net: the calendar queue, the SBO Action, the
 // broadcast fan-out grouping, and the parallel experiment engine must all be
-// invisible — a run is a pure function of its config, bit-identical across
-// queue back ends and across -j. These tests pin that contract.
+// invisible — a run is a pure function of its config, pinned to committed
+// digests and bit-identical across shard counts and -j. These tests pin that
+// contract.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -17,7 +19,7 @@
 #include "obs/profiler.h"
 #include "obs/qos.h"
 #include "obs/window_qos.h"
-#include "sim/scheduler.h"
+#include "sim/event_queue.h"
 #include "sim/system.h"
 #include "smr/harness.h"
 
@@ -79,39 +81,93 @@ TEST(Action, MoveTransfersInlineState) {
 
 // ------------------------------------------------- queue order equivalence
 
-// Drives both queue back ends through the same adversarial schedule —
-// same-tick FIFO runs, events scheduling into the current tick, and
-// far-future times past the calendar window — and requires the identical
-// execution sequence.
-std::vector<std::pair<SimTime, int>> drive_schedule(QueueKind kind, std::uint64_t seed) {
-  Scheduler sched(kind);
+// The order oracle: a binary heap over (time, lane, push seq). The push seq
+// only breaks ties between identical lanes, which the lane scheme never
+// produces within one queue.
+class BinaryHeapQueue {
+ public:
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
+
+  void push(SimTime t, Lane lane, Action fn) {
+    queue_.push(Ev{t, lane, next_seq_++, std::move(fn)});
+  }
+
+  [[nodiscard]] SimTime next_time() const { return queue_.top().at; }
+
+  Action pop(SimTime& t, Lane& lane) {
+    // priority_queue::top() is const; the action is move-only, so cast away
+    // const for the extraction (the element is popped immediately after).
+    Ev& top = const_cast<Ev&>(queue_.top());
+    t = top.at;
+    lane = top.lane;
+    Action out = std::move(top.fn);
+    queue_.pop();
+    return out;
+  }
+
+ private:
+  struct Ev {
+    SimTime at;
+    Lane lane;
+    std::uint64_t seq;
+    Action fn;
+  };
+  struct Later {
+    bool operator()(const Ev& a, const Ev& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      if (a.lane != b.lane) return a.lane > b.lane;
+      return a.seq > b.seq;
+    }
+  };
+
+  std::priority_queue<Ev, std::vector<Ev>, Later> queue_;
+  std::uint64_t next_seq_ = 0;
+};
+
+// Drives one queue through a seeded adversarial push/pop sequence and
+// returns what it observed: every pop as (time, lane) and every peek as
+// (next_time, kPeek). Seed events are bursts at shared ticks plus outliers
+// beyond the 1024-slot calendar window (the overflow map and window
+// rebasing). Lanes are unique — a counter in the low bits — but arrive out
+// of order — a random class in the high bits — so buckets need their lazy
+// sort. After a pop, a peek may walk the calendar cursor forward before a
+// push lands back in the tick being drained; that push takes the top class,
+// which keeps its lane above the one just executed, as sim/lane.h requires.
+constexpr Lane kPeek = ~Lane{0};
+
+template <typename Queue>
+std::vector<std::pair<SimTime, Lane>> drive_queue(std::uint64_t seed) {
+  Queue q;
   Rng rng(seed);
-  std::vector<std::pair<SimTime, int>> order;
-  int tag = 0;
-  // Seed events: bursts at shared ticks plus far-future outliers (beyond the
-  // 1024-slot window, forcing the overflow map and window rebasing).
+  std::uint64_t uniq = 0;
+  const auto lane = [&uniq](std::uint64_t cls) { return (cls << 40) | uniq++; };
+  const auto random_class = [&rng] { return static_cast<std::uint64_t>(rng.uniform(0, 15)); };
   for (int k = 0; k < 400; ++k) {
     const SimTime at = rng.chance(0.1) ? rng.uniform(2000, 50'000) : rng.uniform(0, 60);
-    const int id = tag++;
-    sched.at(at, [&order, &sched, &rng, &tag, id] {
-      order.emplace_back(sched.now(), id);
-      // Half the events fan out further work, some into the *current* tick
-      // (exercising push-behind-cursor) and some past the window.
-      if (order.size() < 3000 && rng.chance(0.5)) {
-        const SimTime d = rng.chance(0.2) ? 0 : rng.uniform(1, 1500);
-        const int id2 = tag++;
-        sched.after(d, [&order, &sched, id2] { order.emplace_back(sched.now(), id2); });
-      }
-    });
+    q.push(at, lane(random_class()), Action{});
   }
-  sched.run_all();
-  return order;
+  std::vector<std::pair<SimTime, Lane>> seen;
+  while (!q.empty()) {
+    SimTime t = 0;
+    Lane l = 0;
+    q.pop(t, l);
+    seen.emplace_back(t, l);
+    if (!q.empty() && rng.chance(0.5)) seen.emplace_back(q.next_time(), kPeek);
+    if (seen.size() < 3000 && rng.chance(0.5)) {
+      if (rng.chance(0.2)) {
+        q.push(t, lane(0xFFFF), Action{});
+      } else {
+        q.push(t + rng.uniform(1, 1500), lane(random_class()), Action{});
+      }
+    }
+  }
+  return seen;
 }
 
 TEST(QueueEquivalence, CalendarMatchesHeapOrder) {
   for (const std::uint64_t seed : {1ull, 7ull, 99ull, 12345ull}) {
-    const auto cal = drive_schedule(QueueKind::kCalendar, seed);
-    const auto heap = drive_schedule(QueueKind::kHeap, seed);
+    const auto cal = drive_queue<CalendarQueue>(seed);
+    const auto heap = drive_queue<BinaryHeapQueue>(seed);
     ASSERT_GT(cal.size(), 400u);
     EXPECT_EQ(cal, heap) << "divergence at seed " << seed;
   }
@@ -143,7 +199,32 @@ struct RunFingerprint {
   NetworkStats stats;
 };
 
-RunFingerprint run_pinger_system(QueueKind kind, std::size_t trace_capacity = 1 << 16) {
+// FNV-1a, 64-bit: a stable digest for pinning golden bytes in the source.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string stats_text(const NetworkStats& s) {
+  std::string out;
+  for (const std::uint64_t v :
+       {s.broadcasts, s.copies_sent, s.copies_delivered, s.copies_lost_link,
+        s.copies_lost_dying_sender, s.copies_duplicated, s.copies_to_dead, s.bytes_sent,
+        s.bytes_received, static_cast<std::uint64_t>(s.latency_sum),
+        static_cast<std::uint64_t>(s.latency_max)}) {
+    out += std::to_string(v) + " ";
+  }
+  for (const auto& [type, count] : s.broadcasts_by_type) {
+    out += type + "=" + std::to_string(count) + " ";
+  }
+  return out;
+}
+
+RunFingerprint run_pinger_system(std::size_t trace_capacity = 1 << 16) {
   obs::MetricsRegistry reg;
   SystemConfig cfg;
   cfg.ids = {1, 2, 2, 3, 3, 3};
@@ -154,7 +235,6 @@ RunFingerprint run_pinger_system(QueueKind kind, std::size_t trace_capacity = 1 
   cfg.seed = 424242;
   cfg.trace_capacity = trace_capacity;
   cfg.metrics = &reg;
-  cfg.queue = kind;
   System sys(std::move(cfg));
   for (ProcIndex i = 0; i < 6; ++i) sys.set_process(i, std::make_unique<Pinger>());
   sys.start();
@@ -166,33 +246,27 @@ RunFingerprint run_pinger_system(QueueKind kind, std::size_t trace_capacity = 1 
   return fp;
 }
 
-TEST(GoldenTrace, SystemRunIsByteIdenticalAcrossQueueBackends) {
-  const RunFingerprint cal = run_pinger_system(QueueKind::kCalendar);
-  const RunFingerprint heap = run_pinger_system(QueueKind::kHeap);
-  // The full event log, every metric series, and every network counter —
+// The committed digests were captured while the reference binary heap was
+// still an engine back end next to the calendar queue, and both produced
+// these bytes. The standard library's distributions are implementation-
+// defined, so the digests are those of a libstdc++ build.
+TEST(GoldenTrace, SystemRunMatchesCommittedDigest) {
+  // The full event log, every metric series, and every network counter of a
+  // homonymous mixed-traffic run with a clean and a dying-broadcast crash —
   // byte for byte.
-  EXPECT_EQ(cal.trace, heap.trace);
-  EXPECT_EQ(cal.metrics, heap.metrics);
-  EXPECT_EQ(cal.stats.broadcasts, heap.stats.broadcasts);
-  EXPECT_EQ(cal.stats.copies_sent, heap.stats.copies_sent);
-  EXPECT_EQ(cal.stats.copies_delivered, heap.stats.copies_delivered);
-  EXPECT_EQ(cal.stats.copies_lost_link, heap.stats.copies_lost_link);
-  EXPECT_EQ(cal.stats.copies_lost_dying_sender, heap.stats.copies_lost_dying_sender);
-  EXPECT_EQ(cal.stats.copies_to_dead, heap.stats.copies_to_dead);
-  EXPECT_EQ(cal.stats.bytes_sent, heap.stats.bytes_sent);
-  EXPECT_EQ(cal.stats.bytes_received, heap.stats.bytes_received);
-  EXPECT_EQ(cal.stats.latency_sum, heap.stats.latency_sum);
-  EXPECT_EQ(cal.stats.broadcasts_by_type, heap.stats.broadcasts_by_type);
-  ASSERT_GT(cal.stats.copies_delivered, 0u);
-  ASSERT_GT(cal.stats.bytes_sent, 0u);  // the memoized byte meter metered
+  const RunFingerprint fp = run_pinger_system();
+  EXPECT_EQ(stats_text(fp.stats),
+            "640 3840 2970 0 11 0 759 13464 10200 8860 5 ALIVE=187 PONG=453 ");
+  EXPECT_EQ(fnv1a(fp.trace), 0x4f0a87884d6bae34ull);
+  EXPECT_EQ(fnv1a(fp.metrics), 0x81ee62ec1193bbafull);
 }
 
 TEST(GoldenTrace, CausalTracingOnOffLeavesScheduleMetricsAndStatsIdentical) {
   // Causal stamping must be pure instrumentation: it never touches the RNG,
   // the queue, or the byte meter, so every metric series and every network
   // counter is byte-identical with the trace ring on or off.
-  const RunFingerprint on = run_pinger_system(QueueKind::kCalendar, 1 << 16);
-  const RunFingerprint off = run_pinger_system(QueueKind::kCalendar, 0);
+  const RunFingerprint on = run_pinger_system(1 << 16);
+  const RunFingerprint off = run_pinger_system(0);
   EXPECT_FALSE(on.trace.empty());
   EXPECT_TRUE(off.trace.empty());
   EXPECT_EQ(on.metrics, off.metrics);
@@ -261,7 +335,9 @@ TEST(GoldenTrace, MemoizedByteMeterMatchesFullCodecComputation) {
   EXPECT_EQ(sys.net_stats().bytes_received, 3 * *frame);
 }
 
-std::string fig6_qos_fingerprint(QueueKind kind) {
+TEST(GoldenTrace, Fig6QosJsonMatchesCommittedDigest) {
+  // The full detector stack's QoS JSON — detection times, mistake
+  // intervals, leader settling — pinned like the system run above.
   Fig6Params p;
   p.ids = ids_homonymous(6, 3, 5);
   p.crashes = crashes_last_k(6, 2, /*at=*/300, /*stagger=*/40);
@@ -272,13 +348,9 @@ std::string fig6_qos_fingerprint(QueueKind kind) {
   p.seed = 5;
   p.run_for = 2000;
   p.collect_qos = true;
-  p.queue = kind;
-  const Fig6Result r = run_fig6(p);
-  return obs::qos_json(r.qos).dump(2);
-}
-
-TEST(GoldenTrace, Fig6QosJsonIsByteIdenticalAcrossQueueBackends) {
-  EXPECT_EQ(fig6_qos_fingerprint(QueueKind::kCalendar), fig6_qos_fingerprint(QueueKind::kHeap));
+  const std::string json = obs::qos_json(run_fig6(p).qos).dump(2);
+  EXPECT_EQ(json.size(), 2614u);
+  EXPECT_EQ(fnv1a(json), 0x49e5f9aff2a837dfull);
 }
 
 TEST(GoldenTrace, HealthPlaneOnOffLeavesScheduleMetricsAndQosIdentical) {

@@ -10,6 +10,7 @@
 #include "consensus/harness.h"
 #include "fd/ground_truth.h"
 #include "spec/consensus_checkers.h"
+#include "support/param_grid.h"
 
 namespace hds {
 namespace {
@@ -72,7 +73,6 @@ struct FloodMinSweep
 
 TEST_P(FloodMinSweep, UniformConsensusUnderAnyCrashPattern) {
   auto [n, t, partial, seed] = GetParam();
-  if (t >= n) GTEST_SKIP();
   // Adversarial pattern: one crash per step from step 0 (incl. partial
   // broadcast deliveries) — the hardest schedule for flooding.
   auto run = run_sync<FloodMinSync>(n, t, 0, 1, partial, t + 3, seed, make_floodmin(t));
@@ -80,11 +80,13 @@ TEST_P(FloodMinSweep, UniformConsensusUnderAnyCrashPattern) {
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, FloodMinSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(3, 5, 8),
-                                            ::testing::Values<std::size_t>(0, 1, 3, 6),
-                                            ::testing::Bool(),
-                                            ::testing::Values<std::uint64_t>(1, 2, 3)));
+const testing::ParamGrid<FloodMinSweep::ParamType> kFloodMinGrid(
+    {3, 5, 8}, {0, 1, 3, 6}, {false, true}, {1, 2, 3});
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, FloodMinSweep,
+    kFloodMinGrid.where([](auto n, auto t, auto...) { return t < n; }),
+    kFloodMinGrid.names());
 
 TEST(ApStability, FailureFreeRunDecidesInThreeSteps) {
   // Step 0 and 1 give equal counts; decision at step 1, relay at step 2.
@@ -119,18 +121,19 @@ struct ApStabilitySweep
 
 TEST_P(ApStabilitySweep, UniformUnderFullDeliveryCrashes) {
   auto [n, t, stagger, seed] = GetParam();
-  if (t >= n) GTEST_SKIP();
   auto run = run_sync<ApStabilitySync>(n, t, 0, stagger, /*partial=*/false,
                                        2 * t + 8, seed, make_apstab());
   auto res = check_consensus(GroundTruth::from(*run.sys), run.proposals, run.decisions());
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, ApStabilitySweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(3, 6, 9),
-                                            ::testing::Values<std::size_t>(0, 2, 5),
-                                            ::testing::Values<std::size_t>(1, 2, 3),
-                                            ::testing::Values<std::uint64_t>(1, 2)));
+const testing::ParamGrid<ApStabilitySweep::ParamType> kApStabilityGrid(
+    {3, 6, 9}, {0, 2, 5}, {1, 2, 3}, {1, 2});
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ApStabilitySweep,
+    kApStabilityGrid.where([](auto n, auto t, auto...) { return t < n; }),
+    kApStabilityGrid.names());
 
 TEST(ApStability, PartialCrashesStillAgreeAmongCorrect) {
   // Under crash-during-broadcast the early decision is non-uniform: check

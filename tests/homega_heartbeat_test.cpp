@@ -12,6 +12,7 @@
 #include "consensus/majority_homega.h"
 #include "sim/stacked_process.h"
 #include "spec/fd_checkers.h"
+#include "support/param_grid.h"
 
 namespace hds {
 namespace {
@@ -79,7 +80,6 @@ struct HbSweep : ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, s
 
 TEST_P(HbSweep, ElectionHoldsAcrossTheSpectrum) {
   auto [n, distinct, crash_k, seed] = GetParam();
-  if (distinct > n || crash_k >= n) GTEST_SKIP();
   auto r = run_hb(ids_homonymous(n, distinct, 7 * seed + 1), crashes_last_k(n, crash_k, 50, 13),
                   std::make_unique<PartialSyncTiming>(PartialSyncTiming::Params{
                       .gst = 90, .delta = 3, .pre_gst_loss = 0.3, .pre_gst_max_delay = 30}),
@@ -88,11 +88,14 @@ TEST_P(HbSweep, ElectionHoldsAcrossTheSpectrum) {
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, HbSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(3, 6),
-                                            ::testing::Values<std::size_t>(1, 2, 6),
-                                            ::testing::Values<std::size_t>(0, 2),
-                                            ::testing::Values(1, 2)));
+const testing::ParamGrid<HbSweep::ParamType> kHbGrid({3, 6}, {1, 2, 6}, {0, 2}, {1, 2});
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, HbSweep,
+    kHbGrid.where([](auto n, auto distinct, auto crash_k, auto...) {
+      return distinct <= n && crash_k < n;
+    }),
+    kHbGrid.names());
 
 TEST(HOmegaHeartbeat, DrivesFig8Consensus) {
   // Full alternative stack: heartbeat HΩ under the Fig. 8 algorithm.

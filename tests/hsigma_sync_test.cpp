@@ -10,6 +10,7 @@
 
 #include "consensus/harness.h"
 #include "spec/fd_checkers.h"
+#include "support/param_grid.h"
 
 namespace hds {
 namespace {
@@ -130,7 +131,6 @@ struct HSigmaSweep
 
 TEST_P(HSigmaSweep, Theorem6Holds) {
   auto [n, distinct, crash_k, partial, seed] = GetParam();
-  if (distinct > n || crash_k >= n) GTEST_SKIP();
   Fig7Params p;
   p.ids = ids_homonymous(n, distinct, 31 * seed + 7);
   p.crashes = sync_crashes_last_k(n, crash_k, 1, 1, partial);
@@ -141,12 +141,15 @@ TEST_P(HSigmaSweep, Theorem6Holds) {
   EXPECT_GE(r.liveness_step, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, HSigmaSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(2, 5, 7),
-                                            ::testing::Values<std::size_t>(1, 3, 7),
-                                            ::testing::Values<std::size_t>(0, 1, 4),
-                                            ::testing::Bool(),
-                                            ::testing::Values(1, 2)));
+const testing::ParamGrid<HSigmaSweep::ParamType> kHSigmaGrid(
+    {2, 5, 7}, {1, 3, 7}, {0, 1, 4}, {false, true}, {1, 2});
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, HSigmaSweep,
+    kHSigmaGrid.where([](auto n, auto distinct, auto crash_k, auto...) {
+      return distinct <= n && crash_k < n;
+    }),
+    kHSigmaGrid.names());
 
 }  // namespace
 }  // namespace hds

@@ -1,7 +1,8 @@
 // Tests of the online property monitors: per-rule classification driven
 // directly through the listener interface, silence on clean runs, an
 // adversarial simulated schedule triggering the expected rules, TraceLog /
-// metrics mirroring, and a thread-runtime smoke test.
+// metrics mirroring, and a real-concurrency smoke test on in-process
+// NetSystems.
 #include "obs/monitor.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,8 @@
 
 #include "consensus/harness.h"
 #include "fd/impl/homega_heartbeat.h"
-#include "rt/runtime.h"
 #include "sim/tracelog.h"
+#include "support/net_cluster.h"
 
 namespace hds {
 namespace {
@@ -205,28 +206,28 @@ TEST(Monitor, AdversarialScheduleTriggersTheExpectedRules) {
   EXPECT_EQ(mon.dropped(), 0u);
 }
 
-TEST(Monitor, WorksAcrossThreadsOnTheRtRuntime) {
+TEST(Monitor, WorksAcrossThreadsOnNetSystems) {
   using namespace std::chrono_literals;
-  // Three heartbeat HΩ nodes on the thread runtime, a monitor with
-  // watch_from = 0: electing id 1 is an output change at the two nodes that
-  // did not start as leader (node 1 starts with itself and never changes),
-  // delivered from the runtime's threads through the same listener API.
-  RtConfig cfg;
-  cfg.ids = {1, 2, 3};
+  // Three heartbeat HΩ nodes on in-process NetSystems sharing one monitor
+  // with watch_from = 0: electing id 1 is an output change at the two nodes
+  // that did not start as leader (node 1 starts with itself and never
+  // changes), delivered from three node threads through the same listener
+  // API.
   obs::MonitorConfig mc;
   mc.gt.ids = {1, 2, 3};
   mc.gt.correct = {true, true, true};
   mc.watch_from = 0;
   OnlineMonitor mon(mc);
-  RtSystem sys(std::move(cfg));
+  testing::NetCluster c(mc.gt.ids);
   for (ProcIndex i = 0; i < 3; ++i) {
     auto fd = std::make_unique<HOmegaHeartbeat>(/*period=*/5);
     fd->set_output_listener(mon.listener(i));
-    sys.set_process(i, std::move(fd));
+    c.sys[i]->set_process(std::move(fd));
   }
-  sys.start();
-  ASSERT_TRUE(sys.wait_for([&] { return mon.violation_count() >= 2; }, 5000ms));
-  sys.stop();
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  ASSERT_TRUE(c.sys[0]->wait_for([&] { return mon.violation_count() >= 2; }, 5000ms));
+  for (auto& s : c.sys) s->stop();
   const auto by_rule = mon.counts_by_rule();
   EXPECT_GE(by_rule.at("leader-flap"), 2u);
 }

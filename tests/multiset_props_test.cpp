@@ -3,6 +3,8 @@
 // pinned here rather than assumed.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/multiset.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -88,9 +90,41 @@ TEST_P(MultisetProps, ToVectorRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat backend vs the std::map reference: every operation of the default
+// Flat backend vs a std::map reference: every operation of the default
 // sorted-flat-vector store must agree with MapStore, observer by observer,
 // over a mirrored random workload.
+
+// std::map storage for the Multiset store policy: the semantics reference.
+template <typename T>
+class MapStore {
+ public:
+  using Entries = std::map<T, std::size_t>;
+
+  [[nodiscard]] const Entries& entries() const { return entries_; }
+  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
+  void clear() { entries_.clear(); }
+
+  [[nodiscard]] const std::size_t* find(const T& v) const {
+    auto it = entries_.find(v);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  [[nodiscard]] std::size_t* find(const T& v) {
+    auto it = entries_.find(v);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+
+  [[nodiscard]] std::size_t& at_or_insert(const T& v) { return entries_[v]; }
+
+  void erase(const T& v) { entries_.erase(v); }
+
+  void append(const T& v, std::size_t count) { entries_.emplace_hint(entries_.end(), v, count); }
+
+ private:
+  Entries entries_;
+};
+
+template <typename T>
+using MapMultiset = Multiset<T, MapStore<T>>;
 
 // Runs identical mutations against both backends and compares every scalar
 // and structural observer.

@@ -11,6 +11,7 @@
 
 #include "consensus/harness.h"
 #include "spec/fd_checkers.h"
+#include "support/param_grid.h"
 
 namespace hds {
 namespace {
@@ -153,7 +154,6 @@ struct OhpSweep
 
 TEST_P(OhpSweep, Theorem5AndCorollary2Hold) {
   auto [n, distinct, crash_k, gst, seed] = GetParam();
-  if (distinct > n || crash_k >= n) GTEST_SKIP();
   Fig6Params p;
   p.ids = ids_homonymous(n, distinct, 17 * seed + 1);
   p.crashes = crashes_last_k(n, crash_k, gst / 2, /*stagger=*/7);
@@ -166,12 +166,14 @@ TEST_P(OhpSweep, Theorem5AndCorollary2Hold) {
   EXPECT_TRUE(r.homega_check.ok) << r.homega_check.detail;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, OhpSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(3, 6),
-                                            ::testing::Values<std::size_t>(1, 2, 6),
-                                            ::testing::Values<std::size_t>(0, 2),
-                                            ::testing::Values<SimTime>(0, 120),
-                                            ::testing::Values(1, 2)));
+const testing::ParamGrid<OhpSweep::ParamType> kOhpGrid({3, 6}, {1, 2, 6}, {0, 2}, {0, 120}, {1, 2});
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, OhpSweep,
+    kOhpGrid.where([](auto n, auto distinct, auto crash_k, auto...) {
+      return distinct <= n && crash_k < n;
+    }),
+    kOhpGrid.names());
 
 }  // namespace
 }  // namespace hds

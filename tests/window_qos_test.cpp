@@ -119,7 +119,7 @@ TEST(WindowQos, RingAgesOutOldSubWindows) {
 TEST(WindowQos, StragglerClampsIntoOldestLiveSubWindow) {
   WindowQos wq(base_cfg({1, 2}, {true, true}));
   wq.listener(0)->on_homega_change(950, HOmegaOut{1, 1});  // sub-window 9
-  // A timestamp far in the past (thread-runtime skew) must neither crash
+  // A timestamp far in the past (clock skew between nodes) must neither crash
   // nor resurrect a recycled slot; it lands in the oldest live sub-window.
   wq.listener(1)->on_homega_change(100, HOmegaOut{1, 1});
   const WindowQosStats s = wq.stats();
