@@ -69,7 +69,7 @@ void BM_Flood_InterposerOverhead(benchmark::State& state) {
     cfg.seed = 1;
     System sys(std::move(cfg));
     for (ProcIndex i = 0; i < n; ++i) sys.set_process(i, std::make_unique<Flooder>(2));
-    if (mode > 0) inj.arm(sys);
+    if (mode > 0) inj.attach(sys);
     sys.start();
     sys.run_until(200);
     delivered = sys.net_stats().copies_delivered;
@@ -98,7 +98,7 @@ void BM_Fig6_InterposerOverhead(benchmark::State& state) {
     p.seed = 5;
     p.run_for = 4000;
     p.metrics = hds::bench::metrics_sink();
-    if (mode > 0) p.chaos = &inj;
+    if (mode > 0) p.observers = {&inj};
     const Fig6Result res = run_fig6(p);
     stabilization = res.stabilization_time;
     benchmark::DoNotOptimize(res.broadcasts);

@@ -30,7 +30,7 @@ void BM_Smr_ClosedLoopThroughput(benchmark::State& state) {
   std::uint64_t ops = 0;
   for (auto _ : state) {
     smr::SmrSimParams p;
-    p.n = n;
+    p.ids = ids_unique(n);
     p.t = (n - 1) / 2;
     p.seed = 11;
     p.run_for = 8000;
@@ -61,7 +61,7 @@ void BM_Smr_LeaderCrashRecovery(benchmark::State& state) {
   smr::SmrSimResult r;
   for (auto _ : state) {
     smr::SmrSimParams p;
-    p.n = 5;
+    p.ids = ids_unique(5);
     p.t = 2;
     p.seed = 23;
     p.run_for = 8000;

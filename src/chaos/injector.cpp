@@ -6,34 +6,6 @@
 
 namespace hds::chaos {
 
-// Forwards every FD output change to the harness's own listener (the online
-// monitor), then lets the injector evaluate its trigger clauses. The
-// forward-first order matters: the monitor must see the change that caused
-// a crash, not a truncated run.
-class FaultInjector::ChainListener final : public FdOutputListener {
- public:
-  ChainListener(FaultInjector& inj, FdOutputListener* inner) : inj_(inj), inner_(inner) {}
-
-  void on_trusted_change(SimTime at, const Multiset<Id>& h) override {
-    if (inner_ != nullptr) inner_->on_trusted_change(at, h);
-  }
-  void on_homega_change(SimTime at, const HOmegaOut& out) override {
-    if (inner_ != nullptr) inner_->on_homega_change(at, out);
-    inj_.on_homega_event(at, out);
-  }
-  void on_hsigma_change(SimTime at, const HSigmaSnapshot& snap) override {
-    if (inner_ != nullptr) inner_->on_hsigma_change(at, snap);
-    inj_.on_hsigma_event(at, snap);
-  }
-  void on_sigma_change(SimTime at, const Multiset<Id>& t) override {
-    if (inner_ != nullptr) inner_->on_sigma_change(at, t);
-  }
-
- private:
-  FaultInjector& inj_;
-  FdOutputListener* inner_;
-};
-
 FaultInjector::FaultInjector(FaultPlan plan, std::vector<Id> ids, std::uint64_t seed)
     : plan_(std::move(plan)),
       ids_(std::move(ids)),
@@ -41,8 +13,6 @@ FaultInjector::FaultInjector(FaultPlan plan, std::vector<Id> ids, std::uint64_t 
       budget_used_(plan_.clauses.size(), 0),
       leaders_punished_(plan_.clauses.size()),
       quora_punished_(plan_.clauses.size()) {}
-
-FaultInjector::~FaultInjector() = default;
 
 CopyVerdict FaultInjector::on_copy(SimTime now, ProcIndex from, ProcIndex to,
                                    const std::string& /*type*/) {
@@ -86,7 +56,7 @@ CopyVerdict FaultInjector::on_copy(SimTime now, ProcIndex from, ProcIndex to,
   return v;
 }
 
-void FaultInjector::arm(System& sys) {
+void FaultInjector::attach(System& sys) {
   sys.set_interposer(this);
   sys_ = &sys;
   for (const FaultClause& c : plan_.clauses) {
@@ -96,10 +66,8 @@ void FaultInjector::arm(System& sys) {
   }
 }
 
-FdOutputListener* FaultInjector::trigger_listener(ProcIndex /*i*/, FdOutputListener* inner) {
-  if (!plan_.has_triggers()) return inner;
-  listeners_.push_back(std::make_unique<ChainListener>(*this, inner));
-  return listeners_.back().get();
+FdOutputListener* FaultInjector::listener(ProcIndex /*i*/) {
+  return plan_.has_triggers() ? &trigger_ : nullptr;
 }
 
 ProcIndex FaultInjector::lowest_alive_carrier(Id id) const {

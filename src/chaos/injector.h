@@ -4,9 +4,10 @@
 // the simulator's Network or on net::NetSystem's send path via
 // set_interposer) plus the simulator's crash clauses: fixed-instant crashes
 // are scheduled on its clock, and event-triggered crashes ride the
-// FdOutputListener hooks — the injector chains itself in front of whatever
-// listener the harness already installs (the online monitor), observes real
-// FD output changes, and crashes a victim when a trigger clause matches.
+// FdOutputListener hooks — as a RunObserver, the injector's listener
+// observes real FD output changes and crashes a victim when a trigger clause
+// matches. A harness lists it after the online monitor, so the monitor sees
+// the change that caused a crash before the crash lands.
 //
 // Determinism: all randomness (loss, duplication, jitter) comes from one
 // seeded Rng owned by the injector; on the simulator the whole run is
@@ -17,7 +18,6 @@
 // injector mutex before any substrate lock, never the reverse).
 #pragma once
 
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -28,11 +28,7 @@
 #include "common/link_fault.h"
 #include "common/rng.h"
 #include "common/types.h"
-#include "fd/output_hooks.h"
-
-namespace hds {
-class System;
-}  // namespace hds
+#include "fd/run_observer.h"
 
 namespace hds::chaos {
 
@@ -44,12 +40,11 @@ struct InjectorStats {
   std::vector<std::string> crash_log;  // "rule victim=<idx> at=<t>"
 };
 
-class FaultInjector final : public LinkInterposer {
+class FaultInjector final : public LinkInterposer, public RunObserver {
  public:
   // `ids` is the run's identity vector (needed for label-class selectors and
   // trigger victim selection).
   FaultInjector(FaultPlan plan, std::vector<Id> ids, std::uint64_t seed);
-  ~FaultInjector() override;
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -61,19 +56,26 @@ class FaultInjector final : public LinkInterposer {
   // Attaches to the simulator: installs the interposer, points the crash
   // clauses at `sys`, and schedules kCrashAt clauses. Call before start(); the
   // injector must outlive the system.
-  void arm(System& sys);
+  void attach(System& sys) override;
 
-  // Listener chaining for process i: returns a listener that forwards every
-  // event to `inner` (may be null) and then evaluates trigger clauses.
-  // Returns `inner` unchanged when the plan has no trigger clauses. The
-  // returned listener is owned by the injector.
-  FdOutputListener* trigger_listener(ProcIndex i, FdOutputListener* inner);
+  // The listener that evaluates the trigger clauses, shared by every
+  // process; null when the plan has no trigger clauses.
+  FdOutputListener* listener(ProcIndex i) override;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] InjectorStats stats() const;
 
  private:
-  class ChainListener;
+  struct TriggerListener final : FdOutputListener {
+    explicit TriggerListener(FaultInjector& i) : inj(i) {}
+    void on_homega_change(SimTime at, const HOmegaOut& out) override {
+      inj.on_homega_event(at, out);
+    }
+    void on_hsigma_change(SimTime at, const HSigmaSnapshot& snap) override {
+      inj.on_hsigma_event(at, snap);
+    }
+    FaultInjector& inj;
+  };
 
   void on_homega_event(SimTime at, const HOmegaOut& out);
   void on_hsigma_event(SimTime at, const HSigmaSnapshot& snap);
@@ -90,9 +92,9 @@ class FaultInjector final : public LinkInterposer {
   std::vector<std::size_t> budget_used_;        // per clause
   std::vector<std::set<Id>> leaders_punished_;  // per clause (leader triggers)
   std::vector<std::set<Label>> quora_punished_;  // per clause (quorum triggers)
-  std::vector<std::unique_ptr<ChainListener>> listeners_;
+  TriggerListener trigger_{*this};
 
-  // The simulator crash clauses act on (set by arm()); null until armed.
+  // The simulator crash clauses act on (set by attach()); null until then.
   System* sys_ = nullptr;
 };
 

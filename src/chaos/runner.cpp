@@ -225,10 +225,23 @@ PartialSyncTiming::Params hps_net(const ChaosCase& c, bool lossy) {
   return net;
 }
 
+// The fig8 and smr observers. The injector always attaches: its crash
+// clauses and trigger listener live there. In reliable mode the ARQ
+// emulator follows it and takes over the link seam, wrapping the injector:
+// it re-judges dropped copies at backed-off future instants
+// (retransmission) and suppresses injected duplicates — the sim mirror of
+// net/reliable.h. It draws no randomness of its own, so replay determinism
+// is untouched.
+std::vector<RunObserver*> reliable_observers(const ChaosCase& c, FaultInjector& inj,
+                                             std::optional<net::ReliableLinkEmulator>& rel) {
+  if (!c.reliable) return {&inj};
+  rel.emplace(inj);
+  return {&inj, &*rel};
+}
+
 }  // namespace
 
-ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity,
-                            std::size_t shards) {
+ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity) {
   const std::vector<Id> ids = ids_homonymous(c.n, c.distinct, c.seed);
   const auto crashes =
       c.crash_k > 0 ? crashes_last_k(c.n, c.crash_k, c.crash_at) : crashes_none(c.n);
@@ -254,10 +267,11 @@ ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity,
       p.seed = c.seed;
       p.run_for = c.run_for;
       p.stable_window = 400;
-      p.monitor = mon ? &*mon : nullptr;
-      p.chaos = &inj;
-      p.shards = shards;
       p.trace_capacity = trace_capacity;
+      // Monitor first: it sees the change that triggers a crash before the
+      // crash lands.
+      if (mon) p.observers.push_back(&*mon);
+      p.observers.push_back(&inj);
       Fig6Result res = run_fig6(p);
       if (!res.ohp_check) out.violations.push_back("ohp: " + res.ohp_check.detail);
       if (!res.homega_check) out.violations.push_back("homega: " + res.homega_check.detail);
@@ -274,19 +288,9 @@ ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity,
       p.net = hps_net(c, /*lossy=*/false);
       p.seed = c.seed;
       p.max_time = c.max_time;
-      // Reliable mode: the ARQ emulator sits between the substrate and the
-      // injector, re-judging dropped copies at backed-off future instants
-      // (retransmission) and suppressing injected duplicates — the sim
-      // mirror of net/reliable.h. It draws no randomness of its own, so
-      // replay determinism is untouched.
-      std::optional<net::ReliableLinkEmulator> rel;
-      p.chaos = &inj;  // crash effectors + trigger listeners always live here
-      if (c.reliable) {
-        rel.emplace(inj);
-        p.link_interposer = &*rel;  // emulator owns the link seam, wraps inj
-      }
-      p.shards = shards;
       p.trace_capacity = trace_capacity;
+      std::optional<net::ReliableLinkEmulator> rel;
+      p.observers = reliable_observers(c, inj, rel);
       ConsensusRunResult res = run_fig8_full_stack(p);
       if (!res.check) out.violations.push_back("consensus: " + res.check.detail);
       if (!res.all_correct_decided) {
@@ -312,10 +316,8 @@ ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity,
       p.delta = c.delta;
       p.seed = c.seed;
       p.max_time = c.max_time;
-      p.monitor = &mon;
-      p.chaos = &inj;
+      p.observers = {&mon, &inj};  // monitor first, as in the fig6 case
       p.check_hsigma_safety = true;
-      p.shards = shards;
       p.trace_capacity = trace_capacity;
       ConsensusRunResult res = run_fig9_full_stack(p);
       if (!res.check) out.violations.push_back("consensus: " + res.check.detail);
@@ -333,7 +335,6 @@ ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity,
     }
     case StackKind::kSmr: {
       smr::SmrSimParams p;
-      p.n = c.n;
       p.t = (c.n - 1) / 2;
       p.ids = ids;
       p.crashes = crashes;
@@ -343,14 +344,9 @@ ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity,
       p.run_for = c.run_for;
       p.max_time = c.max_time;
       p.workload.clients = 4;
-      p.shards = shards;
       p.trace_capacity = trace_capacity;
       std::optional<net::ReliableLinkEmulator> rel;
-      p.chaos = &inj;
-      if (c.reliable) {
-        rel.emplace(inj);
-        p.link_interposer = &*rel;
-      }
+      p.observers = reliable_observers(c, inj, rel);
       smr::SmrSimResult res = run_smr_sim(p);
       if (!res.prefix_consistent) {
         out.violations.push_back(

@@ -92,13 +92,7 @@ struct ChaosOutcome {
 // trace_capacity > 0 turns on the simulator's causal trace ring for the run
 // and returns the retained events in the outcome. 0 (the fuzzer's sweep
 // default) keeps the hot path allocation-free.
-//
-// `shards` is plumbed into every stack's harness params. The harness forces
-// injector-backed runs onto one shard today (the chaos and monitor seams
-// assume a single execution thread), so the knob changes wall-clock, never
-// bytes: outcomes and repro tags stay identical at any value.
-ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity = 0,
-                            std::size_t shards = 1);
+ChaosOutcome run_chaos_case(const ChaosCase& c, std::size_t trace_capacity = 0);
 
 // Uniformly random case drawn inside the admissible envelope of `stack`.
 ChaosCase random_admissible_case(Rng& rng, StackKind stack);

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
-#include "chaos/injector.h"
 #include "common/rng.h"
 #include "consensus/majority_homega.h"
 #include "consensus/quorum_homega_hsigma.h"
@@ -117,109 +117,116 @@ std::vector<SimTime> crash_instants(const std::vector<std::optional<SyncCrashPla
   return out;
 }
 
-// Composes the observer chain for process i: the monitor's listener (if
-// any), teed with the streaming window-QoS listener (if any), wrapped by
-// the injector's trigger evaluation (if the plan has trigger clauses). Tees
-// created along the way land in `tees`, which must outlive the run. Null
-// when no observer is present.
-FdOutputListener* chained_listener(ProcIndex i, obs::OnlineMonitor* monitor,
-                                   obs::WindowQos* window_qos, chaos::FaultInjector* chaos,
-                                   std::vector<std::unique_ptr<FdOutputTee>>& tees) {
-  FdOutputListener* l = monitor != nullptr ? monitor->listener(i) : nullptr;
-  if (window_qos != nullptr) {
-    FdOutputListener* w = window_qos->listener(i);
-    if (l == nullptr) {
-      l = w;
-    } else {
-      tees.push_back(std::make_unique<FdOutputTee>(l, w));
-      l = tees.back().get();
-    }
-  }
-  if (chaos != nullptr) l = chaos->trigger_listener(i, l);
-  return l;
+// The one shard rule (see SimRun).
+std::size_t run_shards(const RunSpec& spec, bool oracle) {
+  if (oracle || !spec.observers.empty()) return 1;
+  return spec.shards == 0 ? 1 : spec.shards;
 }
 
-// Observer seams that assume a single execution thread force the run back
-// onto one shard: chaos arms raw scheduler hooks, monitor / window-QoS
-// listeners fire from process dispatch without synchronization, and a link
-// interposer sits on every send path. Results are bit-identical either way,
-// so this only costs the parallelism, never the outcome.
-std::size_t effective_shards(std::size_t requested, const void* monitor, const void* window_qos,
-                             const void* chaos, const void* interposer = nullptr) {
-  if (monitor != nullptr || window_qos != nullptr || chaos != nullptr || interposer != nullptr) {
-    return 1;
+SystemConfig system_config(const RunSpec& spec, std::unique_ptr<TimingModel> timing, bool oracle) {
+  SystemConfig cfg;
+  cfg.ids = spec.ids;
+  cfg.timing = std::move(timing);
+  cfg.crashes = spec.crashes;
+  cfg.seed = spec.seed;
+  cfg.metrics = spec.metrics;
+  cfg.trace_capacity = spec.trace_capacity;
+  cfg.shards = run_shards(spec, oracle);
+  return cfg;
+}
+
+// Latest trusted-output change among correct processes — the detector
+// stack's global stabilization instant; -1 if none.
+SimTime stabilization_time(const System& sys, const std::vector<OHPPolling*>& fds) {
+  SimTime stab = -1;
+  for (ProcIndex i = 0; i < fds.size(); ++i) {
+    if (sys.is_correct(i)) stab = std::max(stab, fds[i]->trusted_trace().last_change());
   }
-  return requested == 0 ? 1 : requested;
+  return stab;
+}
+
+void set_stabilization_gauge(obs::MetricsRegistry* metrics, SimTime stab) {
+  if (metrics != nullptr && stab >= 0) metrics->gauge("fd_stabilization_time").set(stab);
+}
+
+// QoS over the run's Fig. 6 detectors (plus its HΣ components, if any),
+// emitted into the spec's registry.
+obs::QosReport detector_qos(const System& sys, const RunSpec& spec, SimTime gst, SimTime run_end,
+                            const std::vector<OHPPolling*>& fds,
+                            const std::vector<HSigmaComponent*>& hsigs = {}) {
+  obs::QosInput in;
+  in.gt = GroundTruth::from(sys);
+  in.crash_at = crash_instants(spec.crashes, sys.n());
+  in.gst = gst;
+  in.run_end = run_end;
+  for (const OHPPolling* fd : fds) {
+    in.trusted.push_back(&fd->trusted_trace());
+    in.homega.push_back(&fd->homega_trace());
+  }
+  for (const HSigmaComponent* h : hsigs) in.hsigma.push_back(&h->core().trace());
+  obs::QosReport qos = obs::analyze_qos(in);
+  obs::emit_qos(qos, spec.metrics);
+  return qos;
 }
 
 }  // namespace
 
+SimRun::SimRun(const RunSpec& spec, std::unique_ptr<TimingModel> timing, bool oracle)
+    : observers_(spec.observers), sys_(system_config(spec, std::move(timing), oracle)) {
+  for (RunObserver* o : observers_) o->attach(sys_);
+  listeners_.resize(sys_.n(), nullptr);
+  for (ProcIndex i = 0; i < sys_.n(); ++i) {
+    for (RunObserver* o : observers_) {
+      FdOutputListener* l = o->listener(i);
+      if (l == nullptr) continue;
+      if (listeners_[i] != nullptr) {
+        tees_.push_back(std::make_unique<FdOutputTee>(listeners_[i], l));
+        l = tees_.back().get();
+      }
+      listeners_[i] = l;
+    }
+  }
+}
+
+void SimRun::finish() {
+  for (RunObserver* o : observers_) o->finish();
+}
+
 // ------------------------------------------------------------- FD runs
 
 Fig6Result run_fig6(const Fig6Params& p) {
-  std::vector<std::unique_ptr<FdOutputTee>> tees;  // outlives the system
-  SystemConfig cfg;
-  cfg.ids = p.ids;
-  cfg.timing = std::make_unique<PartialSyncTiming>(p.net);
-  cfg.crashes = p.crashes;
-  cfg.seed = p.seed;
-  cfg.metrics = p.metrics;
-  cfg.shards = effective_shards(p.shards, p.monitor, p.window_qos, p.chaos);
-  cfg.trace_capacity = p.trace_capacity;
-  System sys(std::move(cfg));
-  if (p.chaos != nullptr) p.chaos->arm(sys);
-  if (p.monitor != nullptr && sys.trace().enabled()) {
-    p.monitor->set_causal(&sys.causal_session());
-  }
+  SimRun run(p, std::make_unique<PartialSyncTiming>(p.net));
+  System& sys = run.sys();
+  std::vector<OHPPolling*> fds(sys.n());
   for (ProcIndex i = 0; i < sys.n(); ++i) {
     auto fd = std::make_unique<OHPPolling>(p.fd_opts);
     fd->attach_metrics(p.metrics, proc_labels(i));
-    if (FdOutputListener* l = chained_listener(i, p.monitor, p.window_qos, p.chaos, tees)) {
-      fd->set_output_listener(l);
-    }
+    fd->set_output_listener(run.listener(i));
+    fds[i] = fd.get();
     sys.set_process(i, std::move(fd));
   }
   sys.start();
   sys.run_until(p.run_for);
-  if (p.window_qos != nullptr) (void)p.window_qos->stats();  // refresh the gauges
+  run.finish();
 
   const GroundTruth gt = GroundTruth::from(sys);
   std::vector<const Trajectory<Multiset<Id>>*> trusted;
   std::vector<const Trajectory<HOmegaOut>*> homega;
   Fig6Result res;
   for (ProcIndex i = 0; i < sys.n(); ++i) {
-    auto& fd = static_cast<OHPPolling&>(sys.process(i));
-    trusted.push_back(&fd.trusted_trace());
-    homega.push_back(&fd.homega_trace());
+    trusted.push_back(&fds[i]->trusted_trace());
+    homega.push_back(&fds[i]->homega_trace());
     if (sys.is_correct(i)) {
-      res.max_final_timeout = std::max(res.max_final_timeout, fd.timeout());
+      res.max_final_timeout = std::max(res.max_final_timeout, fds[i]->timeout());
     }
   }
   res.ohp_check = check_ohp(gt, trusted, p.run_for, p.stable_window);
   res.homega_check = check_homega(gt, homega, p.run_for, p.stable_window);
-  if (res.ohp_check) {
-    for (ProcIndex i = 0; i < sys.n(); ++i) {
-      if (sys.is_correct(i)) {
-        res.stabilization_time = std::max(res.stabilization_time, trusted[i]->last_change());
-      }
-    }
-  }
+  if (res.ohp_check) res.stabilization_time = stabilization_time(sys, fds);
   res.broadcasts = sys.net_stats().broadcasts;
   res.copies_delivered = sys.net_stats().copies_delivered;
-  if (p.metrics != nullptr && res.stabilization_time >= 0) {
-    p.metrics->gauge("fd_stabilization_time").set(res.stabilization_time);
-  }
-  if (p.collect_qos) {
-    obs::QosInput in;
-    in.gt = gt;
-    in.crash_at = crash_instants(p.crashes, sys.n());
-    in.gst = p.net.gst;
-    in.run_end = p.run_for;
-    in.trusted = trusted;
-    in.homega = homega;
-    res.qos = obs::analyze_qos(in);
-    obs::emit_qos(res.qos, p.metrics);
-  }
+  set_stabilization_gauge(p.metrics, res.stabilization_time);
+  if (p.collect_qos) res.qos = detector_qos(sys, p, p.net.gst, p.run_for, fds);
   if (sys.trace().enabled()) {
     res.trace_events = sys.trace().events();
     res.trace_dropped = sys.trace().dropped();
@@ -228,7 +235,6 @@ Fig6Result run_fig6(const Fig6Params& p) {
 }
 
 Fig7Result run_fig7(const Fig7Params& p) {
-  std::vector<std::unique_ptr<FdOutputTee>> tees;  // outlives the system
   SyncConfig cfg;
   cfg.ids = p.ids;
   cfg.crashes = p.crashes;
@@ -237,13 +243,10 @@ Fig7Result run_fig7(const Fig7Params& p) {
   for (ProcIndex i = 0; i < sys.n(); ++i) {
     auto fd = std::make_unique<HSigmaSyncProcess>(sys.id_of(i));
     fd->attach_metrics(p.metrics, proc_labels(i));
-    if (FdOutputListener* l = chained_listener(i, p.monitor, p.window_qos, nullptr, tees)) {
-      fd->set_output_listener(l);
-    }
+    if (p.monitor != nullptr) fd->set_output_listener(p.monitor->listener(i));
     sys.set_process(i, std::move(fd));
   }
   sys.run_steps(p.steps);
-  if (p.window_qos != nullptr) (void)p.window_qos->stats();  // refresh the gauges
 
   const GroundTruth gt = GroundTruth::from(sys);
   std::vector<const Trajectory<HSigmaSnapshot>*> snaps;
@@ -303,48 +306,65 @@ Fig7Result run_fig7(const Fig7Params& p) {
 
 namespace {
 
-struct RunLoopOut {
-  bool all_decided = false;
-  SimTime end_time = 0;
-};
+std::vector<Value> ensure_proposals(const std::vector<Value>& given, std::size_t n) {
+  if (given.empty()) return distinct_proposals(n);
+  if (given.size() != n) throw std::invalid_argument("proposals size != n");
+  return given;
+}
 
-// Runs the system in slices until every correct process reports a decision
-// (or max_time elapses).
-RunLoopOut run_until_decided(System& sys, const std::function<bool()>& all_decided,
-                             SimTime max_time) {
-  const SimTime slice = 250;
-  RunLoopOut out;
+// The oracle runners' Params are not RunSpecs: they take no observers and
+// run over AsyncTiming.
+template <typename OracleParams>
+SimRun oracle_run(const OracleParams& p, std::vector<Id> ids) {
+  RunSpec spec;
+  spec.ids = std::move(ids);
+  spec.crashes = p.crashes;
+  spec.seed = p.seed;
+  spec.metrics = p.metrics;
+  return SimRun(spec, std::make_unique<AsyncTiming>(p.async_min, p.async_max), /*oracle=*/true);
+}
+
+// The path all five consensus runners share: starts the system, runs it in
+// slices until every correct process has decided (or max_time elapses),
+// finishes the observers, and collects the decisions.
+template <typename Engine>
+ConsensusRunResult run_until_decided(SimRun& run, const std::vector<Engine*>& procs,
+                                     std::vector<Value> proposals, SimTime max_time) {
+  System& sys = run.sys();
+  const auto all_decided = [&] {
+    for (ProcIndex i = 0; i < procs.size(); ++i) {
+      if (sys.is_correct(i) && !procs[i]->decision().decided) return false;
+    }
+    return true;
+  };
+  ConsensusRunResult res;
+  sys.start();
   while (sys.now() < max_time) {
-    sys.run_until(std::min(max_time, sys.now() + slice));
+    sys.run_until(std::min(max_time, sys.now() + 250));
     if (all_decided()) {
-      out.all_decided = true;
+      res.all_correct_decided = true;
       break;
     }
   }
-  out.end_time = sys.now();
-  return out;
-}
+  res.end_time = sys.now();
+  run.finish();
 
-ConsensusRunResult finish_result(System& sys, const std::vector<Value>& proposals,
-                                 const std::vector<DecisionRecord>& decisions,
-                                 const RunLoopOut& loop, std::int64_t max_sub_round,
-                                 Round max_round) {
-  ConsensusRunResult res;
-  res.all_correct_decided = loop.all_decided;
-  res.proposals = proposals;
-  res.decisions = decisions;
-  res.max_round = max_round;
-  res.max_sub_round = max_sub_round;
-  for (ProcIndex i = 0; i < sys.n(); ++i) {
-    if (decisions[i].decided) {
-      res.last_decision_time = std::max(res.last_decision_time, decisions[i].at);
+  for (ProcIndex i = 0; i < procs.size(); ++i) {
+    res.decisions.push_back(procs[i]->decision());
+    if (res.decisions[i].decided) {
+      res.last_decision_time = std::max(res.last_decision_time, res.decisions[i].at);
+    }
+    if (!sys.is_correct(i)) continue;
+    res.max_round = std::max(res.max_round, procs[i]->current_round());
+    if constexpr (std::is_same_v<Engine, QuorumConsensus>) {
+      res.max_sub_round = std::max(res.max_sub_round, procs[i]->max_sub_round_seen());
     }
   }
-  res.check = check_consensus(GroundTruth::from(sys), proposals, decisions);
+  res.check = check_consensus(GroundTruth::from(sys), proposals, res.decisions);
+  res.proposals = std::move(proposals);
   res.broadcasts = sys.net_stats().broadcasts;
   res.copies_delivered = sys.net_stats().copies_delivered;
   res.broadcasts_by_type = sys.net_stats().broadcasts_by_type;
-  res.end_time = loop.end_time;
   if (sys.trace().enabled()) {
     res.trace_head = sys.trace().dump(400);
     res.trace_events = sys.trace().events();
@@ -353,26 +373,13 @@ ConsensusRunResult finish_result(System& sys, const std::vector<Value>& proposal
   return res;
 }
 
-std::vector<Value> ensure_proposals(const std::vector<Value>& given, std::size_t n) {
-  if (given.empty()) return distinct_proposals(n);
-  if (given.size() != n) throw std::invalid_argument("proposals size != n");
-  return given;
-}
-
 }  // namespace
 
 ConsensusRunResult run_fig8_with_oracle(const Fig8OracleParams& p) {
   const std::size_t n = p.ids.size();
-  const std::vector<Value> proposals = ensure_proposals(p.proposals, n);
-
-  SystemConfig cfg;
-  cfg.ids = p.ids;
-  cfg.timing = std::make_unique<AsyncTiming>(p.async_min, p.async_max);
-  cfg.crashes = p.crashes;
-  cfg.seed = p.seed;
-  cfg.metrics = p.metrics;
-  System sys(std::move(cfg));
-
+  std::vector<Value> proposals = ensure_proposals(p.proposals, n);
+  SimRun run = oracle_run(p, p.ids);
+  System& sys = run.sys();
   OracleHOmega oracle(GroundTruth::from(sys), [&sys] { return sys.now(); }, p.fd_stabilize,
                       p.noise);
   std::vector<MajorityHOmegaConsensus*> procs(n);
@@ -390,38 +397,14 @@ ConsensusRunResult run_fig8_with_oracle(const Fig8OracleParams& p) {
     procs[i] = proc.get();
     sys.set_process(i, std::move(proc));
   }
-  sys.start();
-  auto loop = run_until_decided(
-      sys,
-      [&] {
-        for (ProcIndex i = 0; i < n; ++i) {
-          if (sys.is_correct(i) && !procs[i]->decision().decided) return false;
-        }
-        return true;
-      },
-      p.max_time);
-
-  std::vector<DecisionRecord> decisions(n);
-  Round max_round = 0;
-  for (ProcIndex i = 0; i < n; ++i) {
-    decisions[i] = procs[i]->decision();
-    if (sys.is_correct(i)) max_round = std::max(max_round, procs[i]->current_round());
-  }
-  return finish_result(sys, proposals, decisions, loop, 0, max_round);
+  return run_until_decided(run, procs, std::move(proposals), p.max_time);
 }
 
 ConsensusRunResult run_fig9_with_oracle(const Fig9OracleParams& p) {
   const std::size_t n = p.ids.size();
-  const std::vector<Value> proposals = ensure_proposals(p.proposals, n);
-
-  SystemConfig cfg;
-  cfg.ids = p.ids;
-  cfg.timing = std::make_unique<AsyncTiming>(p.async_min, p.async_max);
-  cfg.crashes = p.crashes;
-  cfg.seed = p.seed;
-  cfg.metrics = p.metrics;
-  System sys(std::move(cfg));
-
+  std::vector<Value> proposals = ensure_proposals(p.proposals, n);
+  SimRun run = oracle_run(p, p.ids);
+  System& sys = run.sys();
   auto clock = [&sys] { return sys.now(); };
   OracleHOmega fd1(GroundTruth::from(sys), clock, p.fd1_stabilize, p.noise);
   OracleHSigma fd2(GroundTruth::from(sys), clock, p.fd2_stabilize);
@@ -433,42 +416,14 @@ ConsensusRunResult run_fig9_with_oracle(const Fig9OracleParams& p) {
     procs[i] = proc.get();
     sys.set_process(i, std::move(proc));
   }
-  sys.start();
-  auto loop = run_until_decided(
-      sys,
-      [&] {
-        for (ProcIndex i = 0; i < n; ++i) {
-          if (sys.is_correct(i) && !procs[i]->decision().decided) return false;
-        }
-        return true;
-      },
-      p.max_time);
-
-  std::vector<DecisionRecord> decisions(n);
-  Round max_round = 0;
-  std::int64_t max_sr = 0;
-  for (ProcIndex i = 0; i < n; ++i) {
-    decisions[i] = procs[i]->decision();
-    if (sys.is_correct(i)) {
-      max_round = std::max(max_round, procs[i]->current_round());
-      max_sr = std::max(max_sr, procs[i]->max_sub_round_seen());
-    }
-  }
-  return finish_result(sys, proposals, decisions, loop, max_sr, max_round);
+  return run_until_decided(run, procs, std::move(proposals), p.max_time);
 }
 
 ConsensusRunResult run_fig9_anon_aomega(const Fig9AnonOmegaParams& p) {
   const std::size_t n = p.n;
-  const std::vector<Value> proposals = ensure_proposals(p.proposals, n);
-
-  SystemConfig cfg;
-  cfg.ids = ids_anonymous(n);
-  cfg.timing = std::make_unique<AsyncTiming>(p.async_min, p.async_max);
-  cfg.crashes = p.crashes;
-  cfg.seed = p.seed;
-  cfg.metrics = p.metrics;
-  System sys(std::move(cfg));
-
+  std::vector<Value> proposals = ensure_proposals(p.proposals, n);
+  SimRun run = oracle_run(p, ids_anonymous(n));
+  System& sys = run.sys();
   auto clock = [&sys] { return sys.now(); };
   OracleAOmega fd3(GroundTruth::from(sys), clock, p.aomega_stabilize);
   OracleHSigma fd2(GroundTruth::from(sys), clock, p.fd2_stabilize);
@@ -480,61 +435,21 @@ ConsensusRunResult run_fig9_anon_aomega(const Fig9AnonOmegaParams& p) {
     procs[i] = proc.get();
     sys.set_process(i, std::move(proc));
   }
-  sys.start();
-  auto loop = run_until_decided(
-      sys,
-      [&] {
-        for (ProcIndex i = 0; i < n; ++i) {
-          if (sys.is_correct(i) && !procs[i]->decision().decided) return false;
-        }
-        return true;
-      },
-      p.max_time);
-
-  std::vector<DecisionRecord> decisions(n);
-  Round max_round = 0;
-  std::int64_t max_sr = 0;
-  for (ProcIndex i = 0; i < n; ++i) {
-    decisions[i] = procs[i]->decision();
-    if (sys.is_correct(i)) {
-      max_round = std::max(max_round, procs[i]->current_round());
-      max_sr = std::max(max_sr, procs[i]->max_sub_round_seen());
-    }
-  }
-  return finish_result(sys, proposals, decisions, loop, max_sr, max_round);
+  return run_until_decided(run, procs, std::move(proposals), p.max_time);
 }
 
 ConsensusRunResult run_fig8_full_stack(const Fig8FullStackParams& p) {
   const std::size_t n = p.ids.size();
-  const std::vector<Value> proposals = ensure_proposals(p.proposals, n);
-
-  std::vector<std::unique_ptr<FdOutputTee>> tees;  // outlives the system
-  SystemConfig cfg;
-  cfg.ids = p.ids;
-  cfg.timing = std::make_unique<PartialSyncTiming>(p.net);
-  cfg.crashes = p.crashes;
-  cfg.seed = p.seed;
-  cfg.trace_capacity = p.trace_capacity;
-  cfg.metrics = p.metrics;
-  cfg.shards = effective_shards(p.shards, p.monitor, p.window_qos, p.chaos, p.link_interposer);
-  System sys(std::move(cfg));
-  if (p.chaos != nullptr) p.chaos->arm(sys);
-  // arm() installed the injector as the interposer; an explicit override
-  // (typically a reliability emulator wrapping that same injector) wins.
-  if (p.link_interposer != nullptr) sys.set_interposer(p.link_interposer);
-  if (p.monitor != nullptr && sys.trace().enabled()) {
-    p.monitor->set_causal(&sys.causal_session());
-  }
-
+  std::vector<Value> proposals = ensure_proposals(p.proposals, n);
+  SimRun run(p, std::make_unique<PartialSyncTiming>(p.net));
+  System& sys = run.sys();
   std::vector<MajorityHOmegaConsensus*> procs(n);
   std::vector<OHPPolling*> fds(n);
   for (ProcIndex i = 0; i < n; ++i) {
     auto stack = std::make_unique<StackedProcess>();
     auto* fd = stack->add(std::make_unique<OHPPolling>());
     fd->attach_metrics(p.metrics, proc_labels(i));
-    if (FdOutputListener* l = chained_listener(i, p.monitor, p.window_qos, p.chaos, tees)) {
-      fd->set_output_listener(l);
-    }
+    fd->set_output_listener(run.listener(i));
     fds[i] = fd;
     MajorityConsensusConfig cons_cfg;
     cons_cfg.n = n;
@@ -545,77 +460,26 @@ ConsensusRunResult run_fig8_full_stack(const Fig8FullStackParams& p) {
     procs[i] = stack->add(std::move(cons));
     sys.set_process(i, std::move(stack));
   }
-  sys.start();
-  auto loop = run_until_decided(
-      sys,
-      [&] {
-        for (ProcIndex i = 0; i < n; ++i) {
-          if (sys.is_correct(i) && !procs[i]->decision().decided) return false;
-        }
-        return true;
-      },
-      p.max_time);
-
-  if (p.window_qos != nullptr) (void)p.window_qos->stats();  // refresh the gauges
-  std::vector<DecisionRecord> decisions(n);
-  Round max_round = 0;
-  for (ProcIndex i = 0; i < n; ++i) {
-    decisions[i] = procs[i]->decision();
-    if (sys.is_correct(i)) max_round = std::max(max_round, procs[i]->current_round());
-  }
-  if (p.metrics != nullptr) {
-    // Latest trusted-output change among correct processes — the detector
-    // stack's global stabilization instant for this run.
-    SimTime stab = -1;
-    for (ProcIndex i = 0; i < n; ++i) {
-      if (sys.is_correct(i)) stab = std::max(stab, fds[i]->trusted_trace().last_change());
-    }
-    if (stab >= 0) p.metrics->gauge("fd_stabilization_time").set(stab);
-  }
-  ConsensusRunResult res = finish_result(sys, proposals, decisions, loop, 0, max_round);
-  if (p.collect_qos) {
-    obs::QosInput in;
-    in.gt = GroundTruth::from(sys);
-    in.crash_at = crash_instants(p.crashes, n);
-    in.gst = p.net.gst;
-    in.run_end = loop.end_time;
-    for (ProcIndex i = 0; i < n; ++i) {
-      in.trusted.push_back(&fds[i]->trusted_trace());
-      in.homega.push_back(&fds[i]->homega_trace());
-    }
-    res.qos = obs::analyze_qos(in);
-    obs::emit_qos(res.qos, p.metrics);
-  }
+  ConsensusRunResult res = run_until_decided(run, procs, std::move(proposals), p.max_time);
+  set_stabilization_gauge(p.metrics, stabilization_time(sys, fds));
+  if (p.collect_qos) res.qos = detector_qos(sys, p, p.net.gst, res.end_time, fds);
   return res;
 }
 
 ConsensusRunResult run_fig9_full_stack(const Fig9FullStackParams& p) {
   const std::size_t n = p.ids.size();
-  const std::vector<Value> proposals = ensure_proposals(p.proposals, n);
-
-  std::vector<std::unique_ptr<FdOutputTee>> tees;  // outlives the system
-  SystemConfig cfg;
-  cfg.ids = p.ids;
+  std::vector<Value> proposals = ensure_proposals(p.proposals, n);
   // A synchronous system: every copy delivered within the known bound.
-  cfg.timing = std::make_unique<BoundedTiming>(p.delta);
-  cfg.crashes = p.crashes;
-  cfg.seed = p.seed;
-  cfg.trace_capacity = p.trace_capacity;
-  cfg.metrics = p.metrics;
-  cfg.shards = effective_shards(p.shards, p.monitor, p.window_qos, p.chaos);
-  System sys(std::move(cfg));
-  if (p.chaos != nullptr) p.chaos->arm(sys);
-  if (p.monitor != nullptr && sys.trace().enabled()) {
-    p.monitor->set_causal(&sys.causal_session());
-  }
+  SimRun run(p, std::make_unique<BoundedTiming>(p.delta));
+  System& sys = run.sys();
 
   // Adapters owned per node; kept alive alongside the system.
   std::vector<std::unique_ptr<ApToOhp>> ap_ohp(n);
   std::vector<std::unique_ptr<ApToHSigma>> ap_hsig(n);
   std::vector<std::unique_ptr<OhpToHOmega>> ohp_homega(n);
   std::vector<QuorumConsensus*> procs(n);
-  std::vector<OHPPolling*> fds(n, nullptr);
-  std::vector<HSigmaComponent*> hsigs(n, nullptr);
+  std::vector<OHPPolling*> fds;
+  std::vector<HSigmaComponent*> hsigs;
 
   for (ProcIndex i = 0; i < n; ++i) {
     auto stack = std::make_unique<StackedProcess>();
@@ -635,12 +499,10 @@ ConsensusRunResult run_fig9_full_stack(const Fig9FullStackParams& p) {
       auto* hsig = stack->add(std::make_unique<HSigmaComponent>(p.delta + 1));
       ohp->attach_metrics(p.metrics, proc_labels(i));
       hsig->attach_metrics(p.metrics, proc_labels(i));
-      if (FdOutputListener* l = chained_listener(i, p.monitor, p.window_qos, p.chaos, tees)) {
-        ohp->set_output_listener(l);
-        hsig->set_output_listener(l);
-      }
-      fds[i] = ohp;
-      hsigs[i] = hsig;
+      ohp->set_output_listener(run.listener(i));
+      hsig->set_output_listener(run.listener(i));
+      fds.push_back(ohp);
+      hsigs.push_back(hsig);
       fd1 = ohp;
       fd2 = hsig;
     }
@@ -650,62 +512,23 @@ ConsensusRunResult run_fig9_full_stack(const Fig9FullStackParams& p) {
     procs[i] = stack->add(std::move(cons));
     sys.set_process(i, std::move(stack));
   }
-  sys.start();
-  auto loop = run_until_decided(
-      sys,
-      [&] {
-        for (ProcIndex i = 0; i < n; ++i) {
-          if (sys.is_correct(i) && !procs[i]->decision().decided) return false;
-        }
-        return true;
-      },
-      p.max_time);
-  if (p.window_qos != nullptr) (void)p.window_qos->stats();  // refresh the gauges
-
-  std::vector<DecisionRecord> decisions(n);
-  Round max_round = 0;
-  std::int64_t max_sr = 0;
-  for (ProcIndex i = 0; i < n; ++i) {
-    decisions[i] = procs[i]->decision();
-    if (sys.is_correct(i)) {
-      max_round = std::max(max_round, procs[i]->current_round());
-      max_sr = std::max(max_sr, procs[i]->max_sub_round_seen());
-    }
-  }
-  if (p.metrics != nullptr && !p.anonymous_ap_stack) {
-    SimTime stab = -1;
-    for (ProcIndex i = 0; i < n; ++i) {
-      if (sys.is_correct(i)) stab = std::max(stab, fds[i]->trusted_trace().last_change());
-    }
-    if (stab >= 0) p.metrics->gauge("fd_stabilization_time").set(stab);
-  }
-  ConsensusRunResult res = finish_result(sys, proposals, decisions, loop, max_sr, max_round);
-  if (p.check_hsigma_safety && !p.anonymous_ap_stack) {
+  ConsensusRunResult res = run_until_decided(run, procs, std::move(proposals), p.max_time);
+  if (p.anonymous_ap_stack) return res;
+  set_stabilization_gauge(p.metrics, stabilization_time(sys, fds));
+  if (p.check_hsigma_safety) {
     // Perpetual HΣ properties only: they hold at every instant of every
     // admissible run, so they stay meaningful even when a chaos schedule
     // prevents the eventual properties from converging within the run.
     const GroundTruth gt = GroundTruth::from(sys);
     std::vector<const Trajectory<HSigmaSnapshot>*> snaps;
-    for (ProcIndex i = 0; i < n; ++i) snaps.push_back(&hsigs[i]->core().trace());
+    for (const HSigmaComponent* h : hsigs) snaps.push_back(&h->core().trace());
     res.hsigma_safety_check = check_hsigma_safety(gt, snaps);
     if (res.hsigma_safety_check) {
       res.hsigma_safety_check = check_hsigma_monotonicity(snaps);
     }
   }
-  if (p.collect_qos && !p.anonymous_ap_stack) {
-    obs::QosInput in;
-    in.gt = GroundTruth::from(sys);
-    in.crash_at = crash_instants(p.crashes, n);
-    in.gst = 0;  // synchronous: converge from the start
-    in.run_end = loop.end_time;
-    for (ProcIndex i = 0; i < n; ++i) {
-      in.trusted.push_back(&fds[i]->trusted_trace());
-      in.homega.push_back(&fds[i]->homega_trace());
-      in.hsigma.push_back(&hsigs[i]->core().trace());
-    }
-    res.qos = obs::analyze_qos(in);
-    obs::emit_qos(res.qos, p.metrics);
-  }
+  // Synchronous: converge from the start, so no GST to forgive.
+  if (p.collect_qos) res.qos = detector_qos(sys, p, /*gst=*/0, res.end_time, fds, hsigs);
   return res;
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,10 +23,10 @@
 #include "common/types.h"
 #include "fd/impl/ohp_polling.h"
 #include "fd/oracles.h"
+#include "fd/run_observer.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/qos.h"
-#include "obs/window_qos.h"
 #include "sim/sync_system.h"
 #include "sim/system.h"
 #include "sim/timing.h"
@@ -33,10 +34,6 @@
 #include "spec/fd_checkers.h"
 
 namespace hds {
-
-namespace chaos {
-class FaultInjector;
-}  // namespace chaos
 
 // ---------------------------------------------------------------- workloads
 
@@ -67,38 +64,66 @@ GroundTruth ground_truth_of(const std::vector<Id>& ids,
 GroundTruth ground_truth_of(const std::vector<Id>& ids,
                             const std::vector<std::optional<SyncCrashPlan>>& crashes);
 
-// ------------------------------------------------------------- FD runs
+// ------------------------------------------------------------- run spec
 
-struct Fig6Params {
+// What every harness run on the simulator is made of, whatever its stack:
+// identities and planned crashes, the seed, the observability sinks, the
+// engine's shard count, and the ordered observer list (fd/run_observer.h).
+// Observers must outlive the run.
+struct RunSpec {
   std::vector<Id> ids;
   std::vector<std::optional<CrashPlan>> crashes;  // empty = none
+  std::uint64_t seed = 1;
+  // Observability sink shared by the network, the detectors and the
+  // consensus layer (per-process series under proc=<index>); null disables.
+  obs::MetricsRegistry* metrics = nullptr;
+  // > 0: record the structured event log (with causal lineage) into the
+  // result.
+  std::size_t trace_capacity = 0;
+  // Shard count for the conservative-synchronization engine; results are
+  // bit-identical at any value. See SimRun for when it is forced to 1.
+  std::size_t shards = 1;
+  // Attached before start, listened to on every detector and finished after
+  // the run, all in list order: earlier observers see each change first.
+  std::vector<RunObserver*> observers;
+};
+
+// One simulated run assembled from a RunSpec: the only place a harness
+// builds a System. The constructor builds it and attaches every observer in
+// list order; listener(i) joins the observers' listeners for process i with
+// FdOutputTee, in list order; finish() ends the run for every observer.
+//
+// The shard rule: a run with any observer, or on an oracle substrate (`oracle`
+// detectors sample sys.now() from inside dispatch), runs on one shard;
+// otherwise on spec.shards. Observers are driven from dispatch without
+// synchronization. Results are bit-identical either way, so this only costs
+// the parallelism, never the outcome.
+class SimRun {
+ public:
+  SimRun(const RunSpec& spec, std::unique_ptr<TimingModel> timing, bool oracle = false);
+
+  [[nodiscard]] System& sys() { return sys_; }
+  // Null when no observer listens.
+  [[nodiscard]] FdOutputListener* listener(ProcIndex i) const { return listeners_[i]; }
+  void finish();
+
+ private:
+  std::vector<RunObserver*> observers_;
+  System sys_;
+  std::vector<std::unique_ptr<FdOutputTee>> tees_;
+  std::vector<FdOutputListener*> listeners_;
+};
+
+// ------------------------------------------------------------- FD runs
+
+struct Fig6Params : RunSpec {
   PartialSyncTiming::Params net;
   OHPPolling::Options fd_opts;  // ablation: freeze the timeout
-  std::uint64_t seed = 1;
   SimTime run_for = 4000;
   SimTime stable_window = 400;
-  // Observability sink shared by the network and the detectors (per-process
-  // series under proc=<index>); null disables collection.
-  obs::MetricsRegistry* metrics = nullptr;
   // Run the QoS analyzer over the detector trajectories (result.qos; also
   // emitted into `metrics` when both are set).
   bool collect_qos = false;
-  // Online property monitor; its per-process listeners are attached to every
-  // detector before the run starts. Null disables.
-  obs::OnlineMonitor* monitor = nullptr;
-  // Streaming window-QoS estimator; teed into the same listener chain as the
-  // monitor and refreshed (gauges included) when the run ends. Null disables.
-  obs::WindowQos* window_qos = nullptr;
-  // Fault-injection adversary; armed on the system before start and chained
-  // in front of the monitor listeners. Null disables.
-  chaos::FaultInjector* chaos = nullptr;
-  // Shard count for the conservative-synchronization engine; results are
-  // bit-identical at any value. Forced back to 1 when chaos / monitor /
-  // window_qos are present — those seams assume a single execution thread.
-  std::size_t shards = 1;
-  // > 0: record the structured event log (with causal lineage) into the
-  // result, as in Fig8FullStackParams.
-  std::size_t trace_capacity = 0;
 };
 
 struct Fig6Result {
@@ -126,8 +151,9 @@ struct Fig7Params {
   std::uint64_t seed = 1;
   obs::MetricsRegistry* metrics = nullptr;  // per-process series; null disables
   bool collect_qos = false;                 // as in Fig6Params
-  obs::OnlineMonitor* monitor = nullptr;    // as in Fig6Params
-  obs::WindowQos* window_qos = nullptr;     // as in Fig6Params
+  // Fig. 7 runs on the lock-step SyncSystem, which takes no RunSpec: the
+  // monitor is its only observer. Null disables.
+  obs::OnlineMonitor* monitor = nullptr;
 };
 
 struct Fig7Result {
@@ -209,58 +235,32 @@ struct Fig9OracleParams {
 
 ConsensusRunResult run_fig9_with_oracle(const Fig9OracleParams& p);
 
-struct Fig8FullStackParams {
-  std::vector<Id> ids;
+// After the run, `metrics` additionally carries fd_stabilization_time
+// (latest trusted-output change among correct processes).
+struct Fig8FullStackParams : RunSpec {
   std::size_t t_known = 0;
-  std::vector<std::optional<CrashPlan>> crashes;
   std::vector<Value> proposals;
   PartialSyncTiming::Params net;
-  std::uint64_t seed = 1;
   SimTime max_time = 500'000;
-  std::size_t trace_capacity = 0;  // > 0: record the event log into the result
-  // Observability sink threaded through the network, the Fig. 6 detectors
-  // and the consensus layer; after the run it additionally carries
-  // fd_stabilization_time (latest trusted-output change among correct
-  // processes). Null disables collection.
-  obs::MetricsRegistry* metrics = nullptr;
-  bool collect_qos = false;               // as in Fig6Params
-  obs::OnlineMonitor* monitor = nullptr;  // as in Fig6Params
-  obs::WindowQos* window_qos = nullptr;   // as in Fig6Params
-  chaos::FaultInjector* chaos = nullptr;  // as in Fig6Params
-  // Installed as the substrate's link interposer AFTER chaos->arm(sys) (which
-  // installs the injector itself). Lets a wrapper — e.g. the chaos runner's
-  // net::ReliableLinkEmulator around the injector — own the link seam while
-  // `chaos` keeps its other roles (crash effectors, trigger listeners).
-  LinkInterposer* link_interposer = nullptr;
-  // As in Fig6Params; additionally forced to 1 by `link_interposer`.
-  std::size_t shards = 1;
+  bool collect_qos = false;  // as in Fig6Params
 };
 
 // Fig. 6 ▸ Corollary 2 ▸ Fig. 8 in HPS[t < n/2].
 ConsensusRunResult run_fig8_full_stack(const Fig8FullStackParams& p);
 
-struct Fig9FullStackParams {
-  std::vector<Id> ids;
-  std::vector<std::optional<CrashPlan>> crashes;
+struct Fig9FullStackParams : RunSpec {
   std::vector<Value> proposals;
   SimTime delta = 3;  // known synchronous link bound
-  std::uint64_t seed = 1;
   SimTime max_time = 500'000;
   bool anonymous_ap_stack = false;  // true: AP ▸ Lemmas 2/3 instead of Fig. 6/7
-  std::size_t trace_capacity = 0;   // > 0: record the event log into the result
-  obs::MetricsRegistry* metrics = nullptr;  // as in Fig8FullStackParams
-  // QoS / monitoring of the Fig. 6 + Fig. 7-adapter detectors; ignored by
-  // the anonymous AP stack (its adapters are pull-through views with no
-  // change events of their own).
+  // QoS of the Fig. 6 + Fig. 7-adapter detectors; the anonymous AP stack
+  // ignores it, and the observers' listeners too (its adapters are
+  // pull-through views with no change events of their own).
   bool collect_qos = false;
-  obs::OnlineMonitor* monitor = nullptr;
-  obs::WindowQos* window_qos = nullptr;   // as in Fig6Params
-  chaos::FaultInjector* chaos = nullptr;  // as in Fig6Params
   // Evaluate the perpetual HΣ checks (safety + monotonicity) over the
   // HSigmaComponent traces into result.hsigma_safety_check. Off by default;
   // the chaos runner turns it on. Ignored by the anonymous AP stack.
   bool check_hsigma_safety = false;
-  std::size_t shards = 1;  // as in Fig6Params
 };
 
 // Synchronous full stack for Fig. 9: OHPPolling (HΩ) + HSigmaComponent (HΣ)

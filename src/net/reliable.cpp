@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/system.h"
+
 namespace hds::net {
 
 namespace {
@@ -428,6 +430,8 @@ RelStats ReliableChannel::stats() {
 }
 
 // --------------------------------------------------------------- emulator
+
+void ReliableLinkEmulator::attach(System& sys) { sys.set_interposer(this); }
 
 CopyVerdict ReliableLinkEmulator::on_copy(SimTime now, ProcIndex from, ProcIndex to,
                                           const std::string& type) {

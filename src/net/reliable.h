@@ -54,6 +54,7 @@
 #include "common/link_fault.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "fd/run_observer.h"
 #include "net/codec.h"
 #include "obs/metrics.h"
 #include "sim/message.h"
@@ -242,7 +243,9 @@ class ReliableChannel {
 // retry budget / lost-floor degradation the live layer applies.
 //
 // Consumes no randomness of its own, so a chaos case replays byte-identically.
-class ReliableLinkEmulator final : public LinkInterposer {
+// As a RunObserver it installs itself as the system's interposer; listed
+// after the observer it wraps, it replaces that observer's seam.
+class ReliableLinkEmulator final : public LinkInterposer, public RunObserver {
  public:
   struct Config {
     SimTime rto_base_ms = 8;
@@ -253,6 +256,7 @@ class ReliableLinkEmulator final : public LinkInterposer {
   ReliableLinkEmulator(LinkInterposer& inner, Config cfg) : inner_(inner), cfg_(cfg) {}
 
   CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to, const std::string& type) override;
+  void attach(System& sys) override;
 
   [[nodiscard]] std::uint64_t recovered() const { return recovered_; }
   [[nodiscard]] std::uint64_t dedup_suppressed() const { return dedup_suppressed_; }

@@ -1,6 +1,7 @@
 #include "obs/monitor.h"
 
 #include "obs/profiler.h"
+#include "sim/system.h"
 
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +23,10 @@ OnlineMonitor::OnlineMonitor(MonitorConfig cfg)
 FdOutputListener* OnlineMonitor::listener(ProcIndex i) {
   if (i >= proxies_.size()) throw std::out_of_range("OnlineMonitor::listener: bad proc index");
   return proxies_[i].get();
+}
+
+void OnlineMonitor::attach(System& sys) {
+  if (sys.trace().enabled()) cfg_.causal = &sys.causal_session();
 }
 
 std::vector<MonitorEvent> OnlineMonitor::events() const {

@@ -44,6 +44,7 @@
 #include "common/types.h"
 #include "fd/ground_truth.h"
 #include "fd/output_hooks.h"
+#include "fd/run_observer.h"
 #include "obs/causal.h"
 #include "obs/metrics.h"
 #include "sim/tracelog.h"
@@ -76,23 +77,22 @@ struct MonitorConfig {
   // When set, mirrored monitor events carry the lineage id of the event
   // being dispatched when the rule fired, so causal_chain() can explain a
   // violation by its message ancestry. Single-threaded dispatch only (the
-  // simulator loop); leave null when listeners run on rt threads.
+  // simulator loop); leave null when listeners run on NetSystem threads.
   const CausalSession* causal = nullptr;
 };
 
-class OnlineMonitor {
+class OnlineMonitor final : public RunObserver {
  public:
   explicit OnlineMonitor(MonitorConfig cfg);
 
   // Stable per-process listener to hand to set_output_listener(); valid for
   // the monitor's lifetime. i must be < gt.n().
-  [[nodiscard]] FdOutputListener* listener(ProcIndex i);
+  FdOutputListener* listener(ProcIndex i) override;
 
-  // Late-binds MonitorConfig::causal. The monitor is typically constructed
-  // before the System whose dispatch session it should observe; the harness
-  // calls this right after the System exists (and only when its trace is
-  // on). Call before the run starts — not synchronized against listeners.
-  void set_causal(const CausalSession* c) { cfg_.causal = c; }
+  // Late-binds MonitorConfig::causal to the system's dispatch session when
+  // its trace is on: the monitor is typically constructed before the System
+  // it observes.
+  void attach(System& sys) override;
 
   [[nodiscard]] std::vector<MonitorEvent> events() const;
   [[nodiscard]] std::size_t violation_count() const;

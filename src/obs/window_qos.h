@@ -42,6 +42,7 @@
 #include "common/types.h"
 #include "fd/ground_truth.h"
 #include "fd/output_hooks.h"
+#include "fd/run_observer.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -75,16 +76,18 @@ struct WindowQosStats {
   std::ptrdiff_t quorum_margin_min = -1;  // -1: no pair realized in the span
 };
 
-class WindowQos {
+class WindowQos final : public RunObserver {
  public:
   explicit WindowQos(WindowQosConfig cfg);
 
   // Stable per-process listener for set_output_listener(); valid for the
   // estimator's lifetime. i must be < gt.n().
-  [[nodiscard]] FdOutputListener* listener(ProcIndex i);
+  FdOutputListener* listener(ProcIndex i) override;
 
   // Aggregates the ring (and refreshes the gauges when a registry is set).
   [[nodiscard]] WindowQosStats stats();
+  // End of a harness run: refreshes the gauges.
+  void finish() override { (void)stats(); }
 
   // Per-sub-window series, oldest first (size = min(windows, sub-windows
   // seen)) — the sparkline feed for hds_top:

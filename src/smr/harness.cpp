@@ -4,8 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "chaos/injector.h"
-#include "consensus/harness.h"
 #include "fd/impl/ohp_polling.h"
 #include "sim/stacked_process.h"
 
@@ -28,28 +26,15 @@ double latency_quantile(std::vector<SimTime> v, double q) {
 }
 
 SmrSimResult run_smr_sim(const SmrSimParams& p) {
-  const std::size_t n = p.n;
-
-  SystemConfig cfg;
-  cfg.ids = p.ids.empty() ? ids_unique(n) : p.ids;
+  const std::size_t n = p.ids.size();
+  std::unique_ptr<TimingModel> timing;
   if (p.full_stack) {
-    cfg.timing = std::make_unique<PartialSyncTiming>(p.net);
+    timing = std::make_unique<PartialSyncTiming>(p.net);
   } else {
-    cfg.timing = std::make_unique<AsyncTiming>(p.async_min, p.async_max);
+    timing = std::make_unique<AsyncTiming>(p.async_min, p.async_max);
   }
-  cfg.crashes = p.crashes;
-  cfg.seed = p.seed;
-  cfg.trace_capacity = p.trace_capacity;
-  cfg.metrics = p.metrics;
-  // The oracle substrate samples sys.now() from inside dispatch (only
-  // meaningful single-threaded), and chaos / interposer seams are
-  // unsynchronized — all of those force one shard.
-  if (p.full_stack && p.chaos == nullptr && p.link_interposer == nullptr) {
-    cfg.shards = p.shards == 0 ? 1 : p.shards;
-  }
-  System sys(std::move(cfg));
-  if (p.chaos != nullptr) p.chaos->arm(sys);
-  if (p.link_interposer != nullptr) sys.set_interposer(p.link_interposer);
+  SimRun run(p, std::move(timing), /*oracle=*/!p.full_stack);
+  System& sys = run.sys();
 
   std::optional<OracleHOmega> oracle;
   if (!p.full_stack) {
@@ -66,13 +51,7 @@ SmrSimResult run_smr_sim(const SmrSimParams& p) {
       auto stack = std::make_unique<StackedProcess>();
       auto* fd = stack->add(std::make_unique<OHPPolling>());
       fd->attach_metrics(p.metrics, proc_labels(i));
-      if (p.chaos != nullptr) {
-        // Event-triggered fault clauses (crash-on-leader-change) observe the
-        // detector's output stream, exactly as in the fig6/fig8 harnesses.
-        if (FdOutputListener* l = p.chaos->trigger_listener(i, nullptr)) {
-          fd->set_output_listener(l);
-        }
-      }
+      fd->set_output_listener(run.listener(i));
       auto rep = std::make_unique<SmrReplica>(sc, *fd, p.workload);
       rep->attach_metrics(p.metrics, proc_labels(i));
       reps[i] = stack->add(std::move(rep));
@@ -113,6 +92,7 @@ SmrSimResult run_smr_sim(const SmrSimParams& p) {
   while (sys.now() < limit && !correct_converged()) {
     sys.run_until(std::min(limit, sys.now() + 250));
   }
+  run.finish();
 
   SmrSimResult res;
   res.converged = correct_converged();

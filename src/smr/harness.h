@@ -12,26 +12,17 @@
 #include <vector>
 
 #include "common/types.h"
+#include "consensus/harness.h"
 #include "fd/oracles.h"
-#include "obs/metrics.h"
-#include "sim/system.h"
 #include "sim/timing.h"
 #include "smr/replica.h"
 #include "smr/workload.h"
 
-namespace hds {
-namespace chaos {
-class FaultInjector;
-}  // namespace chaos
-}  // namespace hds
-
 namespace hds::smr {
 
-struct SmrSimParams {
-  std::size_t n = 3;
+// n is ids.size(). The oracle substrate runs on one shard (see SimRun).
+struct SmrSimParams : RunSpec {
   std::size_t t = 1;
-  std::vector<Id> ids;  // empty = unique identifiers 1..n
-  std::vector<std::optional<CrashPlan>> crashes;
 
   SmrConfig smr;            // n / t / replica are filled in per process
   WorkloadConfig workload;  // per-replica clients (client ids never collide)
@@ -51,17 +42,6 @@ struct SmrSimParams {
   OracleHOmega::Noise noise = OracleHOmega::Noise::kNone;
   SimTime async_min = 1, async_max = 8;
   PartialSyncTiming::Params net;  // full-stack mode
-
-  std::uint64_t seed = 1;
-  std::size_t trace_capacity = 0;
-  obs::MetricsRegistry* metrics = nullptr;
-  chaos::FaultInjector* chaos = nullptr;      // armed before start
-  LinkInterposer* link_interposer = nullptr;  // wins over the injector's seam
-  // Shard count for the conservative-synchronization engine; bit-identical
-  // results at any value. Effective only in full-stack mode without chaos /
-  // link_interposer: the oracle substrate reads sys.now() mid-dispatch and
-  // the observer seams assume one execution thread, so those force 1.
-  std::size_t shards = 1;
 };
 
 struct SmrReplicaStats {

@@ -68,7 +68,7 @@ std::unique_ptr<Fixture> make_fixture(FaultInjector* inj, std::size_t n,
     fx->probes.push_back(p.get());
     fx->sys.set_process(i, std::move(p));
   }
-  if (inj != nullptr) inj->arm(fx->sys);
+  if (inj != nullptr) inj->attach(fx->sys);
   return fx;
 }
 
@@ -241,7 +241,7 @@ TEST(ChaosInjection, InjectCrashSilencesTheProcess) {
   EXPECT_FALSE(fx->sys.is_correct(1));
 }
 
-// Inner listener recording what the chain forwarded to it.
+// Listener teed in front of the injector's, recording what it was shown.
 class RecordingListener final : public FdOutputListener {
  public:
   void on_homega_change(SimTime, const HOmegaOut& out) override { seen.push_back(out); }
@@ -258,9 +258,9 @@ TEST(ChaosInjection, LeaderChangeTriggerCrashesCarrierAndForwardsToInner) {
 
   auto fx = make_fixture(&inj, 3, std::make_unique<AsyncTiming>(1, 1));
   RecordingListener inner;
-  FdOutputListener* l = inj.trigger_listener(0, &inner);
-  ASSERT_NE(l, nullptr);
-  ASSERT_NE(l, static_cast<FdOutputListener*>(&inner));  // a chain was built
+  ASSERT_NE(inj.listener(0), nullptr);
+  FdOutputTee tee(&inner, inj.listener(0));
+  FdOutputListener* l = &tee;
   fx->sys.start();
   fx->sys.run_until(5);
 
@@ -289,9 +289,8 @@ TEST(ChaosInjection, LeaderChangeTriggerCrashesCarrierAndForwardsToInner) {
 TEST(ChaosInjection, NoTriggersReturnsInnerListenerUnchanged) {
   FaultPlan plan;  // empty
   FaultInjector inj(plan, {1, 2}, 7);
-  RecordingListener inner;
-  EXPECT_EQ(inj.trigger_listener(0, &inner), static_cast<FdOutputListener*>(&inner));
-  EXPECT_EQ(inj.trigger_listener(1, nullptr), nullptr);
+  EXPECT_EQ(inj.listener(0), nullptr);
+  EXPECT_EQ(inj.listener(1), nullptr);
 }
 
 TEST(ChaosInjection, EmptyPlanLeavesCopiesUntouched) {

@@ -7,17 +7,22 @@
 
 #include <memory>
 #include <queue>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "chaos/injector.h"
+#include "chaos/runner.h"
 #include "common/action.h"
 #include "common/rng.h"
 #include "consensus/harness.h"
 #include "exp/runner.h"
 #include "fd/impl/alive_ranker.h"
 #include "net/codec.h"
+#include "obs/monitor.h"
 #include "obs/profiler.h"
 #include "obs/qos.h"
+#include "obs/trace_export.h"
 #include "obs/window_qos.h"
 #include "sim/event_queue.h"
 #include "sim/system.h"
@@ -386,7 +391,7 @@ TEST(GoldenTrace, HealthPlaneOnOffLeavesScheduleMetricsAndQosIdentical) {
       // plane's own series; the fingerprint compares what the run itself
       // writes, which must not change.
       wq = std::make_unique<obs::WindowQos>(wc);
-      p.window_qos = wq.get();
+      p.observers = {wq.get()};
       obs::Profiler::instance().enable();
     }
     const Fig6Result r = run_fig6(p);
@@ -403,6 +408,145 @@ TEST(GoldenTrace, HealthPlaneOnOffLeavesScheduleMetricsAndQosIdentical) {
            std::to_string(r.copies_delivered);
   };
   EXPECT_EQ(fingerprint(false), fingerprint(true));
+}
+
+std::string monitor_events_text(const std::vector<obs::MonitorEvent>& events) {
+  std::string out;
+  for (const obs::MonitorEvent& e : events) {
+    out += std::to_string(e.at) + " " + std::to_string(static_cast<int>(e.severity)) + " " +
+           std::to_string(e.proc) + " " + e.rule + " " + e.detail + "\n";
+  }
+  return out;
+}
+
+TEST(GoldenTrace, ObserversComposeInListOrderDigest) {
+  // Three observers on one Fig. 6 run: an online monitor judging every
+  // change from t=0 (mirroring its events, with their causal lineage, into
+  // a log of its own), the streaming window-QoS estimator, and a fault
+  // injector crashing the carrier of each newly elected leader. Every
+  // detector change reaches them in list order. The run's trace, the
+  // monitor's events and mirror, the estimator's series and the injector's
+  // crash log are pinned byte for byte (libstdc++ digests, as above).
+  const std::vector<Id> ids = ids_homonymous(6, 3, 5);
+  const auto crashes = crashes_last_k(6, 1, /*at=*/300);
+  TraceLog mirror(1 << 14);
+  obs::MonitorConfig mc;
+  mc.gt = ground_truth_of(ids, crashes);
+  mc.watch_from = 0;
+  mc.trace = &mirror;
+  obs::OnlineMonitor mon(mc);
+  obs::WindowQosConfig wc;
+  wc.gt = mc.gt;
+  wc.crash_at = {-1, -1, -1, -1, -1, 300};
+  obs::WindowQos wq(wc);
+  chaos::FaultClause trig;
+  trig.kind = chaos::ClauseKind::kCrashOnLeaderChange;
+  trig.count = 2;
+  trig.until = 1000;
+  chaos::FaultPlan plan;
+  plan.clauses = {trig};
+  chaos::FaultInjector inj(plan, ids, 9);
+
+  Fig6Params p;
+  p.ids = ids;
+  p.crashes = crashes;
+  p.net.gst = 500;
+  p.net.delta = 3;
+  p.net.pre_gst_loss = 0.2;
+  p.net.pre_gst_max_delay = 6;
+  p.seed = 5;
+  p.run_for = 2000;
+  p.trace_capacity = 1 << 14;
+  p.shards = 4;  // any observer pins the run to one shard: the bytes stay put
+  p.observers = {&mon, &wq, &inj};
+  const Fig6Result r = run_fig6(p);
+
+  std::string crash_log;
+  for (const std::string& line : inj.stats().crash_log) crash_log += line + "\n";
+  EXPECT_EQ(crash_log,
+            "chaos:crash-on-leader-change victim=2 at=7\n"
+            "chaos:crash-on-leader-change victim=0 at=8\n");
+  EXPECT_EQ(r.trace_dropped, 0u);
+  EXPECT_EQ(mon.events().size(), 128u);
+  EXPECT_EQ(fnv1a(obs::trace_jsonl(r.trace_events, {})), 0xf9659826f2e5a427ull);
+  EXPECT_EQ(fnv1a(monitor_events_text(mon.events())), 0x5fda4d0f5122a527ull);
+  EXPECT_EQ(fnv1a(obs::trace_jsonl(mirror.events(), {})), 0xfa042fdf1f78f381ull);
+  EXPECT_EQ(fnv1a(wq.json().dump()), 0x1f368b3603b8d262ull);
+}
+
+TEST(GoldenTrace, ChaosCasesMatchCommittedDigests) {
+  // One fault-injected case per stack, each run with the observers the
+  // chaos runner composes: monitor before injector on fig6 and fig9, the
+  // reliable-delivery emulator wrapping the injector on fig8 and smr. Per
+  // case: the trace digest (the smr harness returns no trace, so its digest
+  // is that of an empty log), the violation tags and the injector counters.
+  const auto link = [](chaos::ClauseKind kind, SimTime until, double prob, SimTime delay) {
+    chaos::FaultClause cl;
+    cl.kind = kind;
+    cl.until = until;
+    cl.prob = prob;
+    cl.delay = delay;
+    return cl;
+  };
+  const auto trigger = [](chaos::ClauseKind kind, SimTime until) {
+    chaos::FaultClause cl;
+    cl.kind = kind;
+    cl.count = 1;
+    cl.until = until;
+    return cl;
+  };
+  std::vector<chaos::ChaosCase> cases(4);
+  cases[0].stack = chaos::StackKind::kFig6;
+  cases[0].seed = 3;
+  cases[0].plan.clauses = {link(chaos::ClauseKind::kLoss, 150, 0.5, 0),
+                           link(chaos::ClauseKind::kReorder, 200, 0, 6)};
+  cases[1].stack = chaos::StackKind::kFig8;
+  cases[1].n = 5;
+  cases[1].seed = 4;
+  cases[1].gst = 300;
+  cases[1].max_time = 20'000;
+  cases[1].reliable = true;
+  cases[1].plan.clauses = {link(chaos::ClauseKind::kLoss, 250, 0.6, 0),
+                           link(chaos::ClauseKind::kDuplicate, 250, 0.5, 4),
+                           trigger(chaos::ClauseKind::kCrashOnLeaderChange, 10'000)};
+  cases[2].stack = chaos::StackKind::kFig9;
+  cases[2].n = 5;
+  cases[2].seed = 5;
+  cases[2].crash_k = 1;
+  cases[2].crash_at = 100;
+  cases[2].max_time = 20'000;
+  cases[2].plan.clauses = {trigger(chaos::ClauseKind::kCrashOnLeaderChange, 5000),
+                           trigger(chaos::ClauseKind::kCrashOnQuorum, 5000)};
+  cases[3].stack = chaos::StackKind::kSmr;
+  cases[3].n = 5;
+  cases[3].distinct = 5;
+  cases[3].seed = 6;
+  cases[3].gst = 300;
+  cases[3].run_for = 4000;
+  cases[3].max_time = 8000;
+  cases[3].reliable = true;
+  cases[3].plan.clauses = {link(chaos::ClauseKind::kLoss, 250, 0.5, 0),
+                           trigger(chaos::ClauseKind::kCrashOnLeaderChange, 2000)};
+
+  std::vector<std::string> got;
+  for (const chaos::ChaosCase& c : cases) {
+    const chaos::ChaosOutcome out = chaos::run_chaos_case(c, 1 << 14);
+    std::string tags;
+    for (const std::string& t : out.violation_tags()) tags += t + ",";
+    std::ostringstream line;
+    line << chaos::stack_name(c.stack) << " trace=" << std::hex
+         << fnv1a(obs::trace_jsonl(out.trace_events, {})) << std::dec
+         << " dropped=" << out.trace_dropped << " tags=" << tags
+         << " crashes=" << out.injected_crashes << " lost=" << out.copies_dropped;
+    got.push_back(line.str());
+  }
+  const std::vector<std::string> want = {
+      "fig6 trace=b973a0362d6d2d4 dropped=23165 tags= crashes=0 lost=882",
+      "fig8 trace=9c47f0b8abd2ba30 dropped=0 tags= crashes=1 lost=1978",
+      "fig9 trace=714f5af69a394192 dropped=0 tags= crashes=2 lost=0",
+      "smr trace=52a4fc4cfe3b87e0 dropped=0 tags= crashes=1 lost=2207",
+  };
+  EXPECT_EQ(got, want);
 }
 
 // ----------------------------------------------- parallel experiment engine
@@ -476,7 +620,7 @@ TEST(ShardedEngine, SmrFullStackRunIsBitIdenticalAcrossShardCounts) {
   // must not move with the shard count.
   auto fingerprint = [](std::size_t shards) {
     smr::SmrSimParams p;
-    p.n = 3;
+    p.ids = ids_unique(3);
     p.t = 1;
     p.full_stack = true;
     p.seed = 11;
@@ -622,7 +766,7 @@ TEST(ExpRunner, SmrRunsAreBitIdenticalAcrossJobCounts) {
   // every -j level of the experiment engine.
   auto task = [](std::size_t i) {
     smr::SmrSimParams p;
-    p.n = 3;
+    p.ids = ids_unique(3);
     p.t = 1;
     p.seed = 1000 + i;
     p.run_for = 3000;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "consensus/messages.h"
 
 namespace hds {
@@ -108,6 +111,68 @@ TEST(Harness, FullStackTraceCaptureWhenRequested) {
   p.trace_capacity = 0;
   auto quiet = run_fig9_full_stack(p);
   EXPECT_TRUE(quiet.trace_head.empty());
+}
+
+// Logs every RunObserver and FdOutputListener call, tagged with its name.
+class LoggingObserver final : public RunObserver, public FdOutputListener {
+ public:
+  LoggingObserver(std::string name, std::vector<std::string>& log, bool listens)
+      : name_(std::move(name)), log_(log), listens_(listens) {}
+
+  void attach(System& sys) override {
+    log_.push_back(name_ + " attach n=" + std::to_string(sys.n()));
+  }
+  FdOutputListener* listener(ProcIndex) override { return listens_ ? this : nullptr; }
+  void finish() override { log_.push_back(name_ + " finish"); }
+
+  void on_trusted_change(SimTime at, const Multiset<Id>&) override {
+    log_.push_back(name_ + " trusted@" + std::to_string(at));
+  }
+  void on_homega_change(SimTime at, const HOmegaOut& out) override {
+    log_.push_back(name_ + " homega@" + std::to_string(at) + "=" + std::to_string(out.leader));
+  }
+  void on_hsigma_change(SimTime at, const HSigmaSnapshot& snap) override {
+    log_.push_back(name_ + " hsigma@" + std::to_string(at) + "#" +
+                   std::to_string(snap.quora.size()));
+  }
+
+ private:
+  std::string name_;
+  std::vector<std::string>& log_;
+  bool listens_;
+};
+
+TEST(Harness, ObserversAttachListenAndFinishInListOrder) {
+  // The observer seam's contract: attach in list order before the run, every
+  // detector change shown to the listening observers in list order (one
+  // without a listener is skipped), finish in list order after the run.
+  std::vector<std::string> log;
+  LoggingObserver a("a", log, true);
+  LoggingObserver quiet("q", log, false);
+  LoggingObserver b("b", log, true);
+  Fig9FullStackParams p;
+  p.ids = ids_homonymous(3, 2, 3);
+  p.delta = 2;
+  p.observers = {&a, &quiet, &b};
+  ASSERT_TRUE(run_fig9_full_stack(p).check.ok);
+
+  ASSERT_GT(log.size(), 6u);
+  const std::vector<std::string> head(log.begin(), log.begin() + 3);
+  const std::vector<std::string> tail(log.end() - 3, log.end());
+  EXPECT_EQ(head, (std::vector<std::string>{"a attach n=3", "q attach n=3", "b attach n=3"}));
+  EXPECT_EQ(tail, (std::vector<std::string>{"a finish", "q finish", "b finish"}));
+  const std::size_t changes_end = log.size() - 3;
+  ASSERT_EQ((changes_end - 3) % 2, 0u);
+  bool saw_homega = false;
+  bool saw_hsigma = false;
+  for (std::size_t k = 3; k < changes_end; k += 2) {
+    ASSERT_EQ(log[k].substr(0, 2), "a ") << k;
+    EXPECT_EQ(log[k + 1], "b " + log[k].substr(2)) << k;
+    saw_homega |= log[k].find("homega@") != std::string::npos;
+    saw_hsigma |= log[k].find("hsigma@") != std::string::npos;
+  }
+  EXPECT_TRUE(saw_homega);
+  EXPECT_TRUE(saw_hsigma);
 }
 
 TEST(Harness, SyncCrashHelperShape) {

@@ -162,7 +162,7 @@ TEST(Monitor, SilentOnACleanRun) {
   mc.gt = ground_truth_of(p.ids, p.crashes);
   mc.watch_from = 1500;
   OnlineMonitor mon(mc);
-  p.monitor = &mon;
+  p.observers = {&mon};
   const Fig6Result r = run_fig6(p);
   ASSERT_TRUE(r.ohp_check.ok) << r.ohp_check.detail;
   EXPECT_EQ(mon.violation_count(), 0u);
@@ -185,7 +185,7 @@ TEST(Monitor, AdversarialScheduleTriggersTheExpectedRules) {
   mc.gt = ground_truth_of(p.ids, p.crashes);
   mc.watch_from = 0;
   OnlineMonitor mon(mc);
-  p.monitor = &mon;
+  p.observers = {&mon};
   const Fig6Result r = run_fig6(p);
   ASSERT_TRUE(r.ohp_check.ok) << r.ohp_check.detail;
 

@@ -318,7 +318,7 @@ TEST(SmrReplica, ConflictingCommitRecordDropsBodyAndWaits) {
 
 TEST(SmrSim, StableLeaderConvergesWithOneBroadcastPerBatch) {
   SmrSimParams p;
-  p.n = 3;
+  p.ids = ids_unique(3);
   p.t = 1;
   p.workload.clients = 64;
   p.run_for = 8000;
@@ -360,7 +360,7 @@ TEST(SmrSim, StableLeaderConvergesWithOneBroadcastPerBatch) {
 
 TEST(SmrSim, LeaderChurnBeforeStabilizationConverges) {
   SmrSimParams p;
-  p.n = 3;
+  p.ids = ids_unique(3);
   p.t = 1;
   p.workload.clients = 32;
   p.fd_stabilize = 1500;
@@ -383,7 +383,7 @@ TEST(SmrSim, LeaderCrashFailsOverAndConverges) {
   // Full detector stack (OHPPolling) so the lease reacts to a real crash:
   // process 0 carries the smallest identifier, leads, and dies mid-run.
   SmrSimParams p;
-  p.n = 3;
+  p.ids = ids_unique(3);
   p.t = 1;
   p.full_stack = true;
   p.workload.clients = 16;
@@ -412,7 +412,7 @@ TEST(SmrSim, LeaderCrashFailsOverAndConverges) {
 
 TEST(SmrSim, SameSeedReproducesBitIdenticalRun) {
   SmrSimParams p;
-  p.n = 3;
+  p.ids = ids_unique(3);
   p.t = 1;
   p.workload.clients = 24;
   p.fd_stabilize = 800;
@@ -438,7 +438,7 @@ TEST(SmrSim, SameSeedReproducesBitIdenticalRun) {
 // though acks re-forward pending ops at-least-once.
 TEST(SmrSim, DedupMakesForwardingExactlyOnce) {
   SmrSimParams p;
-  p.n = 3;
+  p.ids = ids_unique(3);
   p.t = 1;
   p.workload.clients = 16;
   p.run_for = 6000;

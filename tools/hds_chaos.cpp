@@ -43,12 +43,10 @@ using hds::chaos::StackKind;
 
 void usage(std::ostream& os) {
   os << "usage: hds_chaos --fuzz N [--stack all|fig6|fig8|fig9|smr] [--seed-base S]\n"
-        "                 [--out PATH] [-j N | --jobs N] [--shards K]\n"
+        "                 [--out PATH] [-j N | --jobs N]\n"
         "-j 0 means one worker per hardware thread. Case k is generated from\n"
         "Rng::derived(seed-base, k), so the explored set and any reported\n"
         "finding are identical for every -j\n"
-        "--shards K is forwarded to the engine; injector-backed runs are\n"
-        "forced onto one shard by the harness, so bytes never change\n"
         "       hds_chaos --demo-violation PATH\n"
         "       hds_chaos --replay [--trace-capacity N] FILE [FILE...]\n"
         "exit status: 0 clean, 1 violation found / replay mismatch, 2 usage error\n";
@@ -69,7 +67,7 @@ std::string join(const std::vector<std::string>& v, const char* sep) {
 }
 
 int run_fuzz(std::size_t budget, const std::string& stack_sel, std::uint64_t seed_base,
-             const std::string& out_path, std::size_t jobs, std::size_t shards) {
+             const std::string& out_path, std::size_t jobs) {
   const std::vector<StackKind> stacks = stacks_of(stack_sel);
   const std::size_t tasks = budget * stacks.size();
 
@@ -89,7 +87,7 @@ int run_fuzz(std::size_t budget, const std::string& stack_sel, std::uint64_t see
         TaskResult r;
         Rng rng = Rng::derived(seed_base, t);
         r.c = hds::chaos::random_admissible_case(rng, stacks[t % stacks.size()]);
-        const ChaosOutcome out = hds::chaos::run_chaos_case(r.c, /*trace_capacity=*/0, shards);
+        const ChaosOutcome out = hds::chaos::run_chaos_case(r.c);
         r.ok = out.ok;
         r.violations = out.violations;
         return r;
@@ -206,7 +204,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> replay_files;
   bool replay_mode = false;
   std::size_t trace_capacity = std::size_t{1} << 16;
-  std::size_t shards = 1;
 
   try {
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -232,9 +229,6 @@ int main(int argc, char** argv) {
         replay_mode = true;
       } else if (flag == "--trace-capacity") {
         trace_capacity = std::stoul(next());
-      } else if (flag == "--shards") {
-        shards = std::stoul(next());
-        if (shards == 0) shards = 1;
       } else if (flag == "--help" || flag == "-h") {
         usage(std::cout);
         return 0;
@@ -249,7 +243,7 @@ int main(int argc, char** argv) {
       return run_replay(replay_files, trace_capacity);
     }
     if (!demo_path.empty()) return run_demo(demo_path);
-    if (fuzz > 0) return run_fuzz(fuzz, stack_sel, seed_base, out_path, jobs, shards);
+    if (fuzz > 0) return run_fuzz(fuzz, stack_sel, seed_base, out_path, jobs);
     usage(std::cerr);
     return 2;
   } catch (const std::invalid_argument& e) {

@@ -218,7 +218,7 @@ SweepResult run_sweep_point(const Options& o, std::size_t ell) {
     mc.watch_from = 3000;  // generous stabilization budget past GST
     mc.metrics = &reg;
     hds::obs::OnlineMonitor monitor(mc);
-    p.monitor = &monitor;
+    p.observers = {&monitor};
     const hds::Fig6Result r = hds::run_fig6(p);
     out.fig6_qos = hds::obs::qos_json(r.qos);
     out.metrics["fig6_detection_max"] = static_cast<double>(r.qos.detection_time_max);
@@ -309,7 +309,6 @@ SweepResult run_sweep_point(const Options& o, std::size_t ell) {
   // so it folds into the same baseline comparison as the detector QoS.
   {
     hds::smr::SmrSimParams p;
-    p.n = o.n;
     p.t = o.t;
     p.ids = ids;
     p.seed = o.seed;
