@@ -159,7 +159,7 @@ BENCHMARK(BM_System_BroadcastFloodThroughput)->Arg(4)->Arg(16)->Arg(64)
 // ticks, so each window batches thousands of deliveries between barriers —
 // the regime sharding is for. Returns the run's wall-clock seconds.
 double sharded_flood_once(std::size_t n, std::size_t shards, std::uint64_t& delivered,
-                          std::uint64_t& windows) {
+                          ShardRunStats& stats) {
   SystemConfig cfg;
   for (std::size_t i = 0; i < n; ++i) cfg.ids.push_back(i + 1);
   cfg.timing = std::make_unique<AsyncTiming>(16, 32);
@@ -172,7 +172,7 @@ double sharded_flood_once(std::size_t n, std::size_t shards, std::uint64_t& deli
   sys.run_until(400);
   const auto t1 = std::chrono::steady_clock::now();
   delivered = sys.net_stats().copies_delivered;
-  windows = sys.shard_stats().windows;
+  stats = sys.shard_stats();
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
@@ -180,19 +180,30 @@ double sharded_flood_once(std::size_t n, std::size_t shards, std::uint64_t& deli
 // /1 row of the same run). scale_eff is the measured parallel efficiency:
 // single-shard wall-clock over (shards x sharded wall-clock) for the
 // byte-identical scenario; speedup is the same ratio without the divisor.
+// drain_frac and wait_frac split the shards' window-loop time: the share
+// spent draining inbound groups and the share spent waiting at the window
+// barrier (the rest runs events).
 void BM_System_ShardedFloodThroughput(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 64;
   std::uint64_t ref_delivered = 0;
-  std::uint64_t ref_windows = 0;
-  const double t_ref = sharded_flood_once(n, 1, ref_delivered, ref_windows);
+  ShardRunStats ref_stats;
+  const double t_ref = sharded_flood_once(n, 1, ref_delivered, ref_stats);
   std::uint64_t delivered = 0;
-  std::uint64_t windows = 0;
+  ShardRunStats st;
   double total = 0;
+  double loop_s = 0;
+  double drain_s = 0;
+  double wait_s = 0;
   for (auto _ : state) {
-    const double tk = sharded_flood_once(n, shards, delivered, windows);
+    const double tk = sharded_flood_once(n, shards, delivered, st);
     total += tk;
     state.SetIterationTime(tk);
+    for (const ShardRunStats::ShardTime& t : st.per_shard) {
+      loop_s += t.run_s + t.drain_s + t.wait_s;
+      drain_s += t.drain_s;
+      wait_s += t.wait_s;
+    }
   }
   if (delivered != ref_delivered) {
     state.SkipWithError("sharded run diverged from the single-shard reference");
@@ -202,9 +213,11 @@ void BM_System_ShardedFloodThroughput(benchmark::State& state) {
       state.iterations() == 0 ? 0.0 : total / static_cast<double>(state.iterations());
   const double speedup = mean_tk <= 0 ? 0.0 : t_ref / mean_tk;
   state.counters["copies_delivered"] = static_cast<double>(delivered);
-  state.counters["windows"] = static_cast<double>(windows);
+  state.counters["windows"] = static_cast<double>(st.windows);
   state.counters["speedup_vs_1shard"] = speedup;
   state.counters["scale_eff"] = speedup / static_cast<double>(shards);
+  state.counters["drain_frac"] = loop_s <= 0 ? 0.0 : drain_s / loop_s;
+  state.counters["wait_frac"] = loop_s <= 0 ? 0.0 : wait_s / loop_s;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(delivered));
 }

@@ -1,13 +1,13 @@
 // Persistent shard worker pool for the sharded simulator.
 //
 // One long-lived thread per shard; run(fn) invokes fn(shard) on every
-// worker in parallel and returns when all are done. The condition-variable
-// handshake on both edges gives the coordinator/worker happens-before that
-// the window-barrier protocol needs (and that TSan checks): everything the
-// coordinator wrote before run() is visible to the workers, and everything
-// any worker wrote during fn is visible to the coordinator after run()
-// returns. Exceptions thrown by fn are captured and rethrown on the
-// coordinator thread (first one wins).
+// worker in parallel and returns when all are done (the sharded System
+// passes its whole window loop as fn, once per run_until/run_all). The
+// condition-variable handshake on both edges gives the caller/worker
+// happens-before that TSan checks: everything the caller wrote before run()
+// is visible to the workers, and everything any worker wrote during fn is
+// visible to the caller after run() returns. Exceptions thrown by fn are
+// captured and rethrown on the caller's thread (first one wins).
 #pragma once
 
 #include <condition_variable>
@@ -42,8 +42,6 @@ class ShardPool {
 
   ShardPool(const ShardPool&) = delete;
   ShardPool& operator=(const ShardPool&) = delete;
-
-  [[nodiscard]] std::size_t shards() const { return shards_; }
 
   // Runs fn(s) for every shard s in parallel; blocks until all return.
   void run(const std::function<void(std::size_t)>& fn) {

@@ -16,8 +16,8 @@
 // whatever the shard count, and the draws all come from the sender's own
 // RNG row, so they are a function of the sender's dispatch order alone.
 // Fan-out groups whose destinations live on another shard are handed to the
-// cross-send hook instead of the local scheduler; the System routes them
-// through SPSC mailboxes and re-injects them at a window barrier.
+// cross-send hook instead of the local scheduler; the System holds them in
+// per-window outboxes until the destination shard's next window.
 #pragma once
 
 #include <algorithm>
@@ -83,7 +83,7 @@ class Network {
   using Deliver = std::function<void(ProcIndex to, const std::shared_ptr<const Message>&)>;
 
   // One same-time fan-out group whose destinations live on another shard,
-  // handed to the owning System for mailbox routing.
+  // handed to the owning System for outbox routing.
   struct CrossGroup {
     std::size_t dest_shard = 0;
     SimTime at = 0;
@@ -110,7 +110,7 @@ class Network {
 
   // Schedules one fan-out group on the local scheduler: at time `at`, lane
   // `lane`, deliver `msg` to every destination in `tos` (ascending). Also
-  // the re-injection point for cross-shard groups drained from mailboxes.
+  // the re-injection point for cross-shard groups drained from outboxes.
   void schedule_fanout(SimTime at, Lane lane, std::shared_ptr<const Message> msg,
                        std::vector<ProcIndex> tos);
 
@@ -162,7 +162,7 @@ class Network {
 
   // A fan-out group: every destination whose copy of the current broadcast
   // arrives at the same instant ON THE SAME SHARD, delivered by a single
-  // scheduled event (local) or one mailbox push (cross-shard).
+  // scheduled event (local) or one outbox push (cross-shard).
   struct Fanout {
     SimTime at = 0;
     std::size_t dshard = 0;

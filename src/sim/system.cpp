@@ -1,6 +1,9 @@
 #include "sim/system.h"
 
 #include <algorithm>
+#include <barrier>
+#include <chrono>
+#include <exception>
 #include <stdexcept>
 #include <tuple>
 
@@ -103,17 +106,12 @@ System::System(SystemConfig cfg)
 
   procs_.resize(n);
 
-  // Shards, their networks, and the cross-shard mailboxes.
+  // Shards, their networks, and the cross-shard outboxes.
   shards_vec_.reserve(shards_);
   for (std::size_t s = 0; s < shards_; ++s) {
     shards_vec_.push_back(std::make_unique<ShardState>(&trace_));
   }
-  if (shards_ > 1) {
-    for (std::size_t i = 0; i < shards_ * shards_; ++i) {
-      mail_.push_back(std::make_unique<SpscMailbox<Network::CrossGroup>>(cfg.mailbox_capacity));
-    }
-    pool_ = std::make_unique<exp::ShardPool>(shards_);
-  }
+  if (shards_ > 1) pool_ = std::make_unique<exp::ShardPool>(shards_);
   frame_overhead_by_sender_.reserve(n);
   for (ProcIndex i = 0; i < n; ++i) {
     frame_overhead_by_sender_.push_back(net::frame_overhead(i, ids_[i]));
@@ -141,8 +139,13 @@ System::System(SystemConfig cfg)
       return frame_overhead_by_sender_[from] + net::varint_size(body) + body;
     });
     if (shards_ > 1) {
-      sh.net->set_cross_send(
-          [this, s](Network::CrossGroup g) { mail(s, g.dest_shard).push(std::move(g)); });
+      for (auto& box : sh.outbox) box.resize(shards_);
+      // The group reaches no queue before the next window, so the barrier's
+      // completion step learns its arrival time from out_min.
+      sh.net->set_cross_send([&sh](Network::CrossGroup g) {
+        sh.out_min = std::min(sh.out_min, g.at);
+        sh.outbox[sh.parity][g.dest_shard].push_back(std::move(g));
+      });
     }
   }
   envs_.reserve(n);
@@ -259,43 +262,99 @@ bool System::run_all(std::uint64_t max_events) {
   return true;
 }
 
+// One run_windows call's loop state. Between windows the barrier's
+// completion step is its only writer; workers read it after the barrier.
+struct System::WindowLoop {
+  SimTime limit;
+  std::uint64_t max_events;
+  SimTime end = 0;         // end of the window about to run
+  SimTime prev_end = 0;    // end of the window whose outboxes are drained next
+  std::size_t parity = 0;  // outbox set the window about to run pushes into
+  bool stop = false;
+};
+
 void System::run_windows(SimTime t_limit, std::uint64_t max_events) {
-  for (;;) {
-    drain_mailboxes();
-    bool any = false;
-    SimTime tmin = 0;
-    for (auto& sh : shards_vec_) {
-      if (sh->sched.empty()) continue;
-      const SimTime nt = sh->sched.next_time();
-      if (!any || nt < tmin) tmin = nt;
-      any = true;
-    }
-    if (!any || tmin > t_limit) break;
-    if (events_executed() >= max_events) break;
-    // Conservative window [tmin, w_end): every cross-shard send issued by
-    // an event at time >= tmin arrives at >= tmin + lookahead >= w_end, so
-    // the window's event set is closed before it starts executing.
-    SimTime w_end = tmin + lookahead_;
-    if (w_end > t_limit + 1) w_end = t_limit + 1;
-    last_window_end_ = w_end;
-    ++run_stats_.windows;
-    pool_->run([this, w_end](std::size_t s) { shards_vec_[s]->sched.run_before(w_end); });
+  // Outboxes are empty between calls: the queues alone give the first window.
+  for (auto& sh : shards_vec_) {
+    sh->next = sh->sched.empty() ? kSimTimeMax : sh->sched.next_time();
+    sh->out_min = kSimTimeMax;
+    sh->failed = false;
   }
+  WindowLoop w{t_limit, max_events};
+  next_window(w);
+  if (w.stop) return;
+  std::barrier sync(static_cast<std::ptrdiff_t>(shards_), [this, &w]() noexcept {
+    next_window(w);
+  });
+  pool_->run([&](std::size_t s) { shard_loop(s, w, [&sync] { sync.arrive_and_wait(); }); });
 }
 
-void System::drain_mailboxes() {
-  for (std::size_t d = 0; d < shards_; ++d) {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      if (s == d) continue;
-      drain_buf_.clear();
-      mail(s, d).drain_into(drain_buf_);
-      for (Network::CrossGroup& g : drain_buf_) {
-        ++run_stats_.cross_groups;
-        if (g.at < last_window_end_) ++run_stats_.lookahead_violations;
-        shards_vec_[d]->net->schedule_fanout(g.at, g.lane, std::move(g.msg), std::move(g.tos));
-      }
-    }
+// The barrier's completion step: runs on one worker after every shard has
+// arrived and before any leaves. The next window starts at the earliest of
+// every shard's own next event and every group pushed in the window just run
+// (those are in no queue yet). Conservative window [tmin, end): a cross-shard
+// send issued at time >= tmin arrives at >= tmin + lookahead >= end. A
+// process that threw ends the loop, so no worker is left waiting here.
+void System::next_window(WindowLoop& w) noexcept {
+  SimTime tmin = kSimTimeMax;
+  bool failed = false;
+  for (const auto& sh : shards_vec_) {
+    tmin = std::min({tmin, sh->next, sh->out_min});
+    failed = failed || sh->failed;
   }
+  w.prev_end = w.end;
+  w.parity ^= 1;
+  w.stop = failed || tmin == kSimTimeMax || tmin > w.limit || events_executed() >= w.max_events;
+  if (w.stop) return;
+  w.end = std::min(tmin + lookahead_, w.limit + 1);
+  ++windows_;
+}
+
+void System::shard_loop(std::size_t s, WindowLoop& w,
+                        const std::function<void()>& arrive_and_wait) {
+  using Clock = std::chrono::steady_clock;
+  using Secs = std::chrono::duration<double>;
+  ShardState& sh = *shards_vec_[s];
+  std::exception_ptr err;
+  const auto guarded = [&err](const auto& step) {
+    if (err) return;
+    try {
+      step();
+    } catch (...) {
+      err = std::current_exception();
+    }
+  };
+  Clock::time_point t0 = Clock::now();
+  for (;;) {
+    // Queue the groups the other shards pushed for this one in the previous
+    // window (a shard's own box stays empty). After the last window too, so
+    // run_all's emptiness check and the next call see them.
+    guarded([&] {
+      for (const auto& from : shards_vec_) {
+        std::vector<Network::CrossGroup>& box = from->outbox[w.parity ^ 1][s];
+        for (Network::CrossGroup& g : box) {
+          ++sh.cross_groups;
+          if (g.at < w.prev_end) ++sh.lookahead_violations;
+          sh.net->schedule_fanout(g.at, g.lane, std::move(g.msg), std::move(g.tos));
+        }
+        box.clear();
+      }
+    });
+    const Clock::time_point t1 = Clock::now();
+    sh.time.drain_s += Secs(t1 - t0).count();
+    if (w.stop) break;
+    sh.parity = w.parity;
+    sh.out_min = kSimTimeMax;
+    guarded([&] { sh.sched.run_before(w.end); });
+    sh.failed = err != nullptr;
+    sh.next = sh.failed || sh.sched.empty() ? kSimTimeMax : sh.sched.next_time();
+    const Clock::time_point t2 = Clock::now();
+    sh.time.run_s += Secs(t2 - t1).count();
+    arrive_and_wait();
+    t0 = Clock::now();
+    sh.time.wait_s += Secs(t0 - t2).count();
+  }
+  if (err) std::rethrow_exception(err);  // ShardPool rethrows it on the caller
 }
 
 void System::merge_trace() {
@@ -328,9 +387,15 @@ std::uint64_t System::events_executed() const {
 }
 
 ShardRunStats System::shard_stats() const {
-  ShardRunStats out = run_stats_;
+  ShardRunStats out;
+  out.windows = windows_;
   out.events_executed = events_executed();
-  for (const auto& mb : mail_) out.mailbox_spills += mb->spills();
+  if (shards_ == 1) return out;
+  for (const auto& sh : shards_vec_) {
+    out.cross_groups += sh->cross_groups;
+    out.lookahead_violations += sh->lookahead_violations;
+    out.per_shard.push_back(sh->time);
+  }
   return out;
 }
 

@@ -10,14 +10,15 @@
 // of worker threads — processes round-robin by dense index, one scheduler +
 // network per shard — using conservative synchronization: the lookahead is
 // the timing model's min link delay, and shards advance in lock-step time
-// windows [tmin, tmin + lookahead) separated by barriers, so a cross-shard
-// send (routed through an SPSC mailbox, drained at the barrier) can never
-// land inside the window that produced it. Because every event carries a
-// provenance lane (sim/lane.h) and every random draw comes from its
-// process's own RNG row, the executed schedule — and with it the trace, the
-// metrics, the QoS numbers and the net counters — is byte-identical at any
-// shard count, including shards=1, which runs the plain single-queue
-// engine with zero added overhead.
+// windows [tmin, tmin + lookahead). Each worker drains what the other shards
+// sent it in the previous window, runs its window, and waits at a barrier
+// that picks the next one, so a cross-shard send (held in the sender's
+// per-window outbox) never lands inside the window that produced it. Because
+// every event carries a provenance lane (sim/lane.h) and every random draw
+// comes from its process's own RNG row, the executed schedule — and with it
+// the trace, the metrics, the QoS numbers and the net counters — is
+// byte-identical at any shard count, including shards=1, which runs the
+// plain single-queue engine with zero added overhead.
 //
 // Out of scope at shards > 1 (these force or require a single shard):
 // chaos interposers/injectors, online monitors, mid-run observers that read
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -32,7 +34,6 @@
 
 #include "common/multiset.h"
 #include "common/rng.h"
-#include "common/spsc.h"
 #include "common/types.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
@@ -72,18 +73,25 @@ struct SystemConfig {
   // Worker shards the run is partitioned across (clamped to [1, n]). Any
   // value produces the same bytes; > 1 adds parallelism.
   std::size_t shards = 1;
-  // Ring capacity of each cross-shard SPSC mailbox; overflow spills to a
-  // mutex-guarded side vector (counted in ShardRunStats, never dropped).
-  std::size_t mailbox_capacity = 1024;
 };
 
 // Bookkeeping of a sharded run (all zero when shards == 1).
 struct ShardRunStats {
   std::uint64_t windows = 0;               // conservative windows executed
-  std::uint64_t cross_groups = 0;          // fan-out groups routed via mailboxes
+  std::uint64_t cross_groups = 0;          // fan-out groups routed via outboxes
   std::uint64_t lookahead_violations = 0;  // cross arrivals inside their own window; must be 0
-  std::uint64_t mailbox_spills = 0;        // pushes that missed the SPSC ring
-  std::uint64_t events_executed = 0;       // sum over shard schedulers
+  // Always 0: the per-window outboxes are unbounded vectors, so nothing
+  // spills. Kept because hds_bench reports it as sim.shard_spills.
+  std::uint64_t mailbox_spills = 0;
+  std::uint64_t events_executed = 0;  // sum over shard schedulers
+  // Wall-time split of one shard's window loop (steady_clock): draining its
+  // inbound groups, running its windows, waiting at the window barrier.
+  struct ShardTime {
+    double run_s = 0;
+    double drain_s = 0;
+    double wait_s = 0;
+  };
+  std::vector<ShardTime> per_shard;  // indexed by shard
 };
 
 class System {
@@ -162,25 +170,35 @@ class System {
   };
 
   // Per-shard engine state: its own scheduler, network facade, trace sink
-  // and byte-meter cache; everything a worker touches without locks.
+  // and byte-meter cache; everything a worker touches without locks. Other
+  // workers read the window-loop fields only across the window barrier.
   struct ShardState {
     Scheduler sched;
     TraceSink sink;
     std::unique_ptr<Network> net;
     std::vector<MeterCacheEntry> meter_cache;
     std::size_t meter_last = SIZE_MAX;  // fast path: same-type broadcast runs
+    // outbox[p][d]: groups for shard d pushed during a window of parity p.
+    // Shard d drains them at the start of the next window, while this shard
+    // pushes into the other parity.
+    std::vector<std::vector<Network::CrossGroup>> outbox[2];
+    std::size_t parity = 0;         // outbox set the current window pushes into
+    SimTime out_min = kSimTimeMax;  // earliest arrival pushed this window
+    SimTime next = kSimTimeMax;     // own queue's earliest event after the window
+    bool failed = false;            // a process threw during this window
+    std::uint64_t cross_groups = 0;  // groups drained into this shard
+    std::uint64_t lookahead_violations = 0;
+    ShardRunStats::ShardTime time;
     explicit ShardState(TraceLog* log) : sink(log) {}
   };
+  struct WindowLoop;  // system.cpp
 
   void deliver(std::size_t shard, ProcIndex to, const std::shared_ptr<const Message>& m);
   void run_windows(SimTime t_limit, std::uint64_t max_events);
-  void drain_mailboxes();
+  void next_window(WindowLoop& w) noexcept;
+  void shard_loop(std::size_t s, WindowLoop& w, const std::function<void()>& arrive_and_wait);
   void merge_trace();
   [[nodiscard]] std::uint64_t events_executed() const;
-  [[nodiscard]] SpscMailbox<Network::CrossGroup>& mail(std::size_t from_shard,
-                                                       std::size_t to_shard) {
-    return *mail_[from_shard * shards_ + to_shard];
-  }
 
   [[nodiscard]] const net::BodyCodec* meter_codec_of(ShardState& sh, const std::string& type);
 
@@ -201,12 +219,9 @@ class System {
   obs::Counter* m_timer_fires_ = nullptr;
   std::unique_ptr<TimingModel> timing_;
   std::vector<std::unique_ptr<ShardState>> shards_vec_;
-  std::vector<std::unique_ptr<SpscMailbox<Network::CrossGroup>>> mail_;  // [from * k + to]
   std::unique_ptr<exp::ShardPool> pool_;
-  std::vector<Network::CrossGroup> drain_buf_;
   std::vector<TraceSink::Keyed> merge_buf_;
-  ShardRunStats run_stats_;
-  SimTime last_window_end_ = 0;
+  std::uint64_t windows_ = 0;
   mutable NetworkStats merged_stats_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::vector<std::unique_ptr<NodeEnv>> envs_;

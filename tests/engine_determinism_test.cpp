@@ -5,9 +5,11 @@
 // contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <queue>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -558,8 +560,11 @@ TEST(GoldenTrace, ChaosCasesMatchCommittedDigests) {
 // bound is as tight as it gets (one tick per window), per-link base delays
 // make every cross-shard edge different, and jitter keeps messages landing
 // on both sides of each barrier.
-RunFingerprint run_sharded_pinger(std::size_t shards, std::size_t mailbox_capacity = 1024,
-                                  ShardRunStats* stats_out = nullptr) {
+// `step` > 0 runs it in run_until steps of that many ticks instead of one
+// call, which leaves cross-shard groups in flight at every call boundary.
+RunFingerprint run_sharded_pinger(std::size_t shards, ShardRunStats* stats_out = nullptr,
+                                  SimTime step = 0) {
+  constexpr SimTime kEnd = 120;
   obs::MetricsRegistry reg;
   SystemConfig cfg;
   cfg.ids = {1, 2, 2, 3, 3, 3, 4, 4, 5, 5};
@@ -571,11 +576,14 @@ RunFingerprint run_sharded_pinger(std::size_t shards, std::size_t mailbox_capaci
   cfg.trace_capacity = 1 << 16;
   cfg.metrics = &reg;
   cfg.shards = shards;
-  cfg.mailbox_capacity = mailbox_capacity;
   System sys(std::move(cfg));
   for (ProcIndex i = 0; i < 10; ++i) sys.set_process(i, std::make_unique<Pinger>());
   sys.start();
-  sys.run_until(120);
+  if (step <= 0) {
+    sys.run_until(kEnd);
+  } else {
+    for (SimTime t = step; t < kEnd + step; t += step) sys.run_until(std::min(t, kEnd));
+  }
   if (stats_out != nullptr) *stats_out = sys.shard_stats();
   RunFingerprint fp;
   fp.trace = sys.trace().dump(1 << 16);
@@ -594,7 +602,7 @@ TEST(ShardedEngine, GoldenTraceByteIdenticalAcrossShardCounts) {
   ASSERT_GT(ref.stats.copies_delivered, 0u);
   for (const std::size_t k : {2u, 4u, 7u}) {
     ShardRunStats st;
-    const RunFingerprint fp = run_sharded_pinger(k, 1024, &st);
+    const RunFingerprint fp = run_sharded_pinger(k, &st);
     EXPECT_EQ(ref.trace, fp.trace) << "trace diverged at shards=" << k;
     EXPECT_EQ(ref.metrics, fp.metrics) << "metrics diverged at shards=" << k;
     EXPECT_EQ(ref.stats.broadcasts, fp.stats.broadcasts);
@@ -653,22 +661,68 @@ TEST(ShardedEngine, WindowAdvancementNeverViolatesLookahead) {
   // checkable from outside under every schedule we throw at it.
   for (const std::size_t k : {2u, 3u, 4u, 7u}) {
     ShardRunStats st;
-    (void)run_sharded_pinger(k, 1024, &st);
+    (void)run_sharded_pinger(k, &st);
     EXPECT_EQ(st.lookahead_violations, 0u) << "lookahead bound violated at shards=" << k;
   }
 }
 
-TEST(ShardedEngine, MailboxSpillPathIsByteIdentical) {
-  // A 2-slot mailbox forces the overflow spill path constantly; spilled
-  // groups must arrive exactly like ring-carried ones.
+TEST(ShardedEngine, SteppedRunUntilMatchesOneShot) {
+  // Stepping run_until leaves groups in the outboxes at every call
+  // boundary: they must be queued before the call returns and open the
+  // next call's first window, so the stepped run executes the same
+  // schedule as one run_until(120) on one shard.
   const RunFingerprint ref = run_sharded_pinger(1);
-  ShardRunStats st;
-  const RunFingerprint tiny = run_sharded_pinger(4, 2, &st);
-  EXPECT_GT(st.mailbox_spills, 0u) << "capacity 2 never spilled — not exercising the path";
-  EXPECT_EQ(ref.trace, tiny.trace);
-  EXPECT_EQ(ref.metrics, tiny.metrics);
-  EXPECT_EQ(ref.stats.copies_delivered, tiny.stats.copies_delivered);
-  EXPECT_EQ(ref.stats.latency_sum, tiny.stats.latency_sum);
+  for (const std::size_t k : {2u, 4u, 7u}) {
+    for (const SimTime step : {1, 7}) {
+      ShardRunStats st;
+      const RunFingerprint fp = run_sharded_pinger(k, &st, step);
+      EXPECT_EQ(ref.trace, fp.trace) << "shards=" << k << " step=" << step;
+      EXPECT_EQ(ref.metrics, fp.metrics) << "shards=" << k << " step=" << step;
+      EXPECT_EQ(ref.stats.broadcasts, fp.stats.broadcasts);
+      EXPECT_EQ(ref.stats.copies_sent, fp.stats.copies_sent);
+      EXPECT_EQ(ref.stats.copies_delivered, fp.stats.copies_delivered);
+      EXPECT_EQ(ref.stats.copies_lost_link, fp.stats.copies_lost_link);
+      EXPECT_EQ(ref.stats.copies_lost_dying_sender, fp.stats.copies_lost_dying_sender);
+      EXPECT_EQ(ref.stats.copies_to_dead, fp.stats.copies_to_dead);
+      EXPECT_EQ(ref.stats.bytes_sent, fp.stats.bytes_sent);
+      EXPECT_EQ(ref.stats.bytes_received, fp.stats.bytes_received);
+      EXPECT_EQ(ref.stats.latency_sum, fp.stats.latency_sum);
+      EXPECT_EQ(ref.stats.latency_max, fp.stats.latency_max);
+      EXPECT_EQ(ref.stats.broadcasts_by_type, fp.stats.broadcasts_by_type);
+      EXPECT_EQ(st.lookahead_violations, 0u);
+      EXPECT_GT(st.cross_groups, 0u);
+    }
+  }
+}
+
+// Broadcasts on start and throws from on_message when `throws` is set.
+struct ThrowOnMessage final : Process {
+  explicit ThrowOnMessage(bool throws) : throws_(throws) {}
+  void on_start(Env& env) override { env.broadcast(make_message("PING", 0)); }
+  void on_message(Env& env, const Message&) override {
+    if (throws_) throw std::runtime_error("boom");
+    env.broadcast(make_message("PING", 0));
+  }
+  bool throws_;
+};
+
+TEST(ShardedEngine, ProcessExceptionPropagatesWithoutHang) {
+  // A process that throws mid-window must not leave the other workers
+  // waiting for it: run_until rethrows on the caller, whether one shard
+  // throws or all of them do, and the System still tears down cleanly.
+  for (const bool all : {false, true}) {
+    SystemConfig cfg;
+    for (Id i = 1; i <= 8; ++i) cfg.ids.push_back(i);
+    cfg.timing = std::make_unique<AsyncTiming>(1, 4);
+    cfg.seed = 3;
+    cfg.shards = 4;
+    System sys(std::move(cfg));
+    for (ProcIndex i = 0; i < 8; ++i) {
+      sys.set_process(i, std::make_unique<ThrowOnMessage>(all || i == 5));
+    }
+    sys.start();
+    EXPECT_THROW(sys.run_until(100), std::runtime_error) << "all=" << all;
+  }
 }
 
 TEST(ShardedEngine, Fig6QosJsonIsByteIdenticalAcrossShardCounts) {
