@@ -4,10 +4,8 @@
 // benchmark row can be replayed exactly.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace hds {
 
@@ -35,11 +33,6 @@ class Rng {
   // gives task k the stream-k generator, so a task's draws depend only on
   // (seed, k) — never on which worker thread ran it or in what order.
   static Rng derived(std::uint64_t seed, std::uint64_t stream);
-
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    std::shuffle(v.begin(), v.end(), engine_);
-  }
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -313,7 +313,7 @@ std::vector<Value> ensure_proposals(const std::vector<Value>& given, std::size_t
 }
 
 // The oracle runners' Params are not RunSpecs: they take no observers and
-// run over AsyncTiming.
+// run over AsyncTiming with the oracle delay bounds.
 template <typename OracleParams>
 SimRun oracle_run(const OracleParams& p, std::vector<Id> ids) {
   RunSpec spec;
@@ -321,7 +321,8 @@ SimRun oracle_run(const OracleParams& p, std::vector<Id> ids) {
   spec.crashes = p.crashes;
   spec.seed = p.seed;
   spec.metrics = p.metrics;
-  return SimRun(spec, std::make_unique<AsyncTiming>(p.async_min, p.async_max), /*oracle=*/true);
+  return SimRun(spec, std::make_unique<AsyncTiming>(kOracleAsyncMin, kOracleAsyncMax),
+                /*oracle=*/true);
 }
 
 // The path all five consensus runners share: starts the system, runs it in

@@ -186,7 +186,7 @@ struct ConsensusRunResult {
   // with trace_capacity > 0 (replay debugging; see sim/tracelog.h).
   std::string trace_head;
   // The retained events themselves (chronological) and the count evicted
-  // from the ring — feed obs::write_chrome_trace / write_trace_jsonl.
+  // from the ring — feed obs::chrome_trace_json / trace_jsonl.
   std::vector<TraceEvent> trace_events;
   std::uint64_t trace_dropped = 0;
   obs::QosReport qos;  // populated by stacks run with collect_qos
@@ -197,6 +197,12 @@ struct ConsensusRunResult {
   CheckResult hsigma_safety_check;
 };
 
+// Link delay bounds of every oracle run: the three oracle runners below and
+// the SMR harness's oracle substrate run over AsyncTiming(kOracleAsyncMin,
+// kOracleAsyncMax).
+inline constexpr SimTime kOracleAsyncMin = 1;
+inline constexpr SimTime kOracleAsyncMax = 8;
+
 struct Fig8OracleParams {
   std::vector<Id> ids;
   std::size_t t_known = 0;  // the algorithm's t parameter (crashes <= t)
@@ -204,7 +210,6 @@ struct Fig8OracleParams {
   std::vector<Value> proposals;  // empty = distinct per process
   SimTime fd_stabilize = 0;
   OracleHOmega::Noise noise = OracleHOmega::Noise::kRotating;
-  SimTime async_min = 1, async_max = 8;
   std::uint64_t seed = 1;
   SimTime max_time = 500'000;
   std::optional<std::size_t> alpha;     // footnote-5 mode (n/t ignored)
@@ -226,7 +231,6 @@ struct Fig9OracleParams {
   SimTime fd1_stabilize = 0;  // HΩ
   SimTime fd2_stabilize = 0;  // HΣ
   OracleHOmega::Noise noise = OracleHOmega::Noise::kRotating;
-  SimTime async_min = 1, async_max = 8;
   std::uint64_t seed = 1;
   SimTime max_time = 500'000;
   SimTime guard_poll = 4;  // FD guard re-evaluation period
@@ -274,7 +278,6 @@ struct Fig9AnonOmegaParams {
   std::vector<Value> proposals;
   SimTime aomega_stabilize = 0;
   SimTime fd2_stabilize = 0;
-  SimTime async_min = 1, async_max = 8;
   std::uint64_t seed = 1;
   SimTime max_time = 500'000;
   obs::MetricsRegistry* metrics = nullptr;  // per-process series; null disables

@@ -12,7 +12,12 @@ namespace hds::net {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-}
+
+// A batch flushes once it reaches this many bytes: ≈ one MTU.
+constexpr std::size_t kMaxBatchBytes = 1400;
+// recvfrom poll timeout; bounds shutdown latency, not delivery latency.
+constexpr int kRecvTimeoutMs = 50;
+}  // namespace
 
 // The local process: its time-ordered mailbox and dispatch thread (handlers
 // run only here).
@@ -168,7 +173,6 @@ NetSystem::NetSystem(NetConfig cfg)
       peers_(std::move(cfg.peers)),
       batching_(cfg.batching),
       flush_interval_ms_(cfg.flush_interval_ms),
-      max_batch_bytes_(cfg.max_batch_bytes),
       epoch_(Clock::now()),
       trace_(cfg.trace_capacity),
       rng_(cfg.seed),
@@ -180,7 +184,6 @@ NetSystem::NetSystem(NetConfig cfg)
   if (peers_.empty()) throw std::invalid_argument("NetSystem: need at least one peer");
   if (self_ >= peers_.size()) throw std::invalid_argument("NetSystem: self out of range");
   if (flush_interval_ms_ < 0) throw std::invalid_argument("NetSystem: bad flush interval");
-  if (max_batch_bytes_ == 0) throw std::invalid_argument("NetSystem: bad max batch bytes");
 
   if (metrics_ != nullptr) {
     m_broadcasts_ = &metrics_->counter("udp_broadcasts_total");
@@ -198,7 +201,7 @@ NetSystem::NetSystem(NetConfig cfg)
     m_batch_bytes_ = &metrics_->histogram("udp_batch_bytes", obs::exp_buckets(64, 65536));
   }
 
-  sock_.open(peers_[self_].ep, cfg.recv_timeout_ms);
+  sock_.open(peers_[self_].ep, kRecvTimeoutMs);
   peers_[self_].ep.port = sock_.local_port();  // resolve an ephemeral bind
 
   heard_from_.assign(peers_.size(), false);
@@ -210,10 +213,10 @@ NetSystem::NetSystem(NetConfig cfg)
 
   epoch_num_ = cfg.epoch;
   if (cfg.reliability.enabled) {
-    RelConfig rc = cfg.reliability;
-    rc.seed = cfg.seed ^ 0x9E3779B97F4A7C15ull;  // decouple jitter from protocol randomness
-    rel_ = std::make_unique<ReliableChannel>(rc, self_, peers_[self_].id, peers_.size(),
-                                             epoch_num_, metrics_);
+    // Decouple the jitter from protocol randomness.
+    rel_ = std::make_unique<ReliableChannel>(cfg.reliability, cfg.seed ^ 0x9E3779B97F4A7C15ull,
+                                             self_, peers_[self_].id, peers_.size(), epoch_num_,
+                                             metrics_);
   }
 
   node_ = std::make_unique<Node>(*this);
@@ -463,7 +466,7 @@ void NetSystem::sender_loop() {
       PendingBatch& b = *pending_[item.to];
       if (b.w.empty()) b.deadline = now + std::chrono::milliseconds(flush_interval_ms_);
       b.w.add(item.frame);
-      if (!batching_ || b.w.wire_size() >= max_batch_bytes_) flush_batch(item.to);
+      if (!batching_ || b.w.wire_size() >= kMaxBatchBytes) flush_batch(item.to);
     }
     for (ProcIndex to = 0; to < pending_.size(); ++to) {
       if (!pending_[to]->w.empty() && pending_[to]->deadline <= now) flush_batch(to);

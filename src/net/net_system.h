@@ -74,13 +74,10 @@ struct NetConfig {
   std::vector<NetPeer> peers;
   std::uint64_t seed = 1;
   // Send batching: frames to one destination coalesce into one datagram,
-  // flushed when the batch reaches max_batch_bytes or has waited
+  // flushed when the batch reaches about one MTU or has waited
   // flush_interval_ms. batching=false sends one frame per datagram.
   bool batching = true;
   SimTime flush_interval_ms = 1;
-  std::size_t max_batch_bytes = 1400;
-  // recvfrom poll timeout; bounds shutdown latency, not delivery latency.
-  int recv_timeout_ms = 50;
   obs::MetricsRegistry* metrics = nullptr;
   // ARQ layer (net/reliable.h). Disabled by default: frames stay
   // byte-identical to plain v1 and no rel thread is spawned.
@@ -236,7 +233,6 @@ class NetSystem {
   mutable std::mutex ep_mu_;
   bool batching_;
   SimTime flush_interval_ms_;
-  std::size_t max_batch_bytes_;
   std::chrono::steady_clock::time_point epoch_;
   std::int64_t epoch_wall_us_ = 0;
 

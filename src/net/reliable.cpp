@@ -8,6 +8,12 @@ namespace hds::net {
 
 namespace {
 
+constexpr std::size_t kReorderBuffer = 256;  // parked out-of-order frames per link
+constexpr SimTime kRtoMinMs = 20;            // floor of the RTT-estimated timeout
+// The emulator's retry spacing: 8 ms doubling, capped at 1024 ms.
+constexpr SimTime kEmulatorRtoBaseMs = 8;
+constexpr SimTime kEmulatorRtoMaxMs = 1024;
+
 std::chrono::milliseconds ms(SimTime t) { return std::chrono::milliseconds(t); }
 
 double ms_between(RelTime from, RelTime to) {
@@ -120,18 +126,17 @@ std::optional<std::uint64_t> parse_rejoin_body(const std::uint8_t* data, std::si
 
 // ---------------------------------------------------------------- channel
 
-ReliableChannel::ReliableChannel(RelConfig cfg, ProcIndex self, Id self_id, std::size_t n,
-                                 std::uint64_t self_epoch, obs::MetricsRegistry* metrics)
+ReliableChannel::ReliableChannel(RelConfig cfg, std::uint64_t jitter_seed, ProcIndex self,
+                                 Id self_id, std::size_t n, std::uint64_t self_epoch,
+                                 obs::MetricsRegistry* metrics)
     : cfg_(cfg),
       self_(self),
       self_id_(self_id),
       self_epoch_(self_epoch),
       send_(n),
       recv_(n),
-      rng_(cfg.seed) {
-  if (cfg_.window == 0 || cfg_.reorder_buffer == 0) {
-    throw std::invalid_argument("ReliableChannel: zero window");
-  }
+      rng_(jitter_seed) {
+  if (cfg_.window == 0) throw std::invalid_argument("ReliableChannel: zero window");
   if (metrics != nullptr) {
     m_data_sent_ = &metrics->counter("rel_data_sent_total");
     m_retransmits_ = &metrics->counter("rel_retransmits_total");
@@ -154,7 +159,7 @@ ReliableChannel::ReliableChannel(RelConfig cfg, ProcIndex self, Id self_id, std:
 SimTime ReliableChannel::current_rto(const SendLink& s) const {
   if (!s.have_rtt) return cfg_.rto_initial_ms;
   const auto rto = static_cast<SimTime>(s.srtt_ms + 4.0 * s.rttvar_ms + 0.5);
-  return std::clamp(rto, cfg_.rto_min_ms, cfg_.rto_max_ms);
+  return std::clamp(rto, kRtoMinMs, cfg_.rto_max_ms);
 }
 
 std::uint64_t ReliableChannel::ack_bits_of(const RecvLink& r) {
@@ -275,7 +280,7 @@ std::vector<Message> ReliableChannel::on_data(ProcIndex from, const RelHeader& h
     ++st_.delivered;
     obs::inc(m_delivered_);
     drain_ready(r, out);
-  } else if (r.ooo.size() >= cfg_.reorder_buffer) {
+  } else if (r.ooo.size() >= kReorderBuffer) {
     // Park buffer full: drop; the peer's retransmission covers it once the
     // gap closes and space frees up.
     ++st_.reorder_drops;
@@ -441,10 +446,10 @@ CopyVerdict ReliableLinkEmulator::on_copy(SimTime now, ProcIndex from, ProcIndex
   v.duplicate_spread = 0;
   if (!v.drop) return v;
   SimTime delay = v.extra_delay;
-  SimTime rto = cfg_.rto_base_ms;
+  SimTime rto = kEmulatorRtoBaseMs;
   for (int attempt = 1; attempt < cfg_.max_attempts; ++attempt) {
     delay += rto;
-    rto = std::min<SimTime>(rto * 2, cfg_.rto_max_ms);
+    rto = std::min<SimTime>(rto * 2, kEmulatorRtoMaxMs);
     CopyVerdict retry = inner_.on_copy(now + delay, from, to, type);
     dedup_suppressed_ += retry.duplicates;
     if (!retry.drop) {

@@ -98,14 +98,11 @@ std::optional<std::uint64_t> parse_rejoin_body(const std::uint8_t* data, std::si
 
 struct RelConfig {
   bool enabled = false;
-  std::size_t window = 128;          // in-flight frames per link before drop-oldest
-  std::size_t reorder_buffer = 256;  // parked out-of-order frames per link
-  SimTime rto_initial_ms = 100;      // before the first RTT sample
-  SimTime rto_min_ms = 20;
+  std::size_t window = 128;      // in-flight frames per link before drop-oldest
+  SimTime rto_initial_ms = 100;  // before the first RTT sample
   SimTime rto_max_ms = 2000;
   SimTime ack_delay_ms = 15;  // standalone-ack latency when the link is idle
   int max_retransmits = 30;   // retry budget per frame, then lost-floor give-up
-  std::uint64_t seed = 1;     // retransmission jitter
 };
 
 // Counter snapshot; every field also has a rel_* metrics-registry series.
@@ -137,8 +134,9 @@ struct RelSend {
 
 class ReliableChannel {
  public:
-  ReliableChannel(RelConfig cfg, ProcIndex self, Id self_id, std::size_t n,
-                  std::uint64_t self_epoch, obs::MetricsRegistry* metrics);
+  // jitter_seed seeds the retransmission jitter.
+  ReliableChannel(RelConfig cfg, std::uint64_t jitter_seed, ProcIndex self, Id self_id,
+                  std::size_t n, std::uint64_t self_epoch, obs::MetricsRegistry* metrics);
 
   [[nodiscard]] std::uint64_t self_epoch() const { return self_epoch_; }
 
@@ -248,8 +246,6 @@ class ReliableChannel {
 class ReliableLinkEmulator final : public LinkInterposer, public RunObserver {
  public:
   struct Config {
-    SimTime rto_base_ms = 8;
-    SimTime rto_max_ms = 1024;
     int max_attempts = 12;  // cumulative backoff spans > 4s, past any GST
   };
   explicit ReliableLinkEmulator(LinkInterposer& inner) : inner_(inner) {}

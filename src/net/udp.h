@@ -30,7 +30,6 @@ class UdpSocket {
   // and arms a receive timeout so recv() polls rather than blocks forever.
   void open(const UdpEndpoint& ep, int recv_timeout_ms = 100);
   void close();
-  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   [[nodiscard]] std::uint16_t local_port() const { return local_port_; }
 
   // True when the full datagram was handed to the kernel. Oversized or

@@ -33,11 +33,6 @@ class CodecError : public std::runtime_error {
   return n;
 }
 
-// Encoded width of a zigzag-mapped signed varint.
-[[nodiscard]] constexpr std::size_t svarint_size(std::int64_t v) {
-  return varint_size((static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63));
-}
-
 class WireWriter {
  public:
   // Tag selecting the counting mode: the writer materializes nothing and

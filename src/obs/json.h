@@ -53,7 +53,6 @@ class Json {
   static Json object() { return Json(Object{}); }
 
   [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
   [[nodiscard]] bool is_bool() const { return type_ == Type::kBool; }
   [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
   [[nodiscard]] bool is_string() const { return type_ == Type::kString; }

@@ -9,6 +9,12 @@
 
 namespace hds::obs {
 
+namespace {
+// Intersection margin at or below which a quorum pair warns: one crash from
+// disjoint.
+constexpr std::ptrdiff_t kQuorumMarginWarn = 1;
+}  // namespace
+
 OnlineMonitor::OnlineMonitor(MonitorConfig cfg)
     : cfg_(std::move(cfg)), correct_ids_(cfg_.gt.correct_ids()) {
   proxies_.reserve(cfg_.gt.n());
@@ -26,7 +32,7 @@ FdOutputListener* OnlineMonitor::listener(ProcIndex i) {
 }
 
 void OnlineMonitor::attach(System& sys) {
-  if (sys.trace().enabled()) cfg_.causal = &sys.causal_session();
+  if (sys.trace().enabled()) causal_ = &sys.causal_session();
 }
 
 std::vector<MonitorEvent> OnlineMonitor::events() const {
@@ -70,7 +76,7 @@ void OnlineMonitor::emit(SimTime at, MonitorEvent::Severity sev, ProcIndex p, co
   if (cfg_.trace != nullptr) {
     // The mirrored event carries the lineage of whatever the dispatch loop
     // was delivering when the rule fired (0 when no causal session is wired).
-    const std::uint64_t lineage = cfg_.causal != nullptr ? cfg_.causal->parent : 0;
+    const std::uint64_t lineage = causal_ != nullptr ? causal_->parent : 0;
     cfg_.trace->record(at,
                        sev == MonitorEvent::Severity::kViolation
                            ? TraceEvent::Kind::kMonitorViolation
@@ -139,7 +145,7 @@ void OnlineMonitor::hsigma_changed(ProcIndex p, SimTime at, const HSigmaSnapshot
       std::ostringstream os;
       os << "quorum " << q << " is disjoint from realized quorum " << *worst;
       emit(at, MonitorEvent::Severity::kViolation, p, "quorum-disjoint", os.str());
-    } else if (min_margin <= static_cast<std::ptrdiff_t>(cfg_.quorum_margin_warn)) {
+    } else if (min_margin <= kQuorumMarginWarn) {
       std::ostringstream os;
       os << "quorum " << q << " intersects " << *worst << " in only " << min_margin
          << " instance(s)";

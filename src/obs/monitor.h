@@ -18,8 +18,8 @@
 //                    every correct instance (churn without wrong suspicion);
 //     dead-leader    HΩ elected an identifier carried by no correct process
 //                    (gated by watch_from: pre-stabilization it is expected);
-//     quorum-margin  two realized quora intersect in at most
-//                    quorum_margin_warn instances (one crash from disjoint).
+//     quorum-margin  two realized quora intersect in exactly one instance
+//                    (one crash from disjoint).
 //
 // watch_from is the caller's stabilization budget (e.g. GST plus slack): a
 // clean run whose detectors settle before it produces no events at all.
@@ -69,16 +69,8 @@ struct MonitorConfig {
   // are still allowed to converge. Safety rules (quorum intersection)
   // ignore it.
   SimTime watch_from = 0;
-  // Intersection margin at or below which a quorum pair warns.
-  std::size_t quorum_margin_warn = 1;
   TraceLog* trace = nullptr;          // optional mirror; null disables
   MetricsRegistry* metrics = nullptr;  // optional counters; null disables
-  // Optional causal session of the dispatch loop driving the listeners.
-  // When set, mirrored monitor events carry the lineage id of the event
-  // being dispatched when the rule fired, so causal_chain() can explain a
-  // violation by its message ancestry. Single-threaded dispatch only (the
-  // simulator loop); leave null when listeners run on NetSystem threads.
-  const CausalSession* causal = nullptr;
 };
 
 class OnlineMonitor final : public RunObserver {
@@ -89,9 +81,12 @@ class OnlineMonitor final : public RunObserver {
   // the monitor's lifetime. i must be < gt.n().
   FdOutputListener* listener(ProcIndex i) override;
 
-  // Late-binds MonitorConfig::causal to the system's dispatch session when
-  // its trace is on: the monitor is typically constructed before the System
-  // it observes.
+  // Binds the system's dispatch-loop causal session when its trace is on
+  // (the monitor is typically constructed before the System it observes).
+  // Mirrored events then carry the lineage id of the event being dispatched
+  // when the rule fired, so causal_chain() can explain a violation by its
+  // message ancestry. Only the simulator attaches; NetSystem runs leave the
+  // session unbound, since their listeners run on node threads.
   void attach(System& sys) override;
 
   [[nodiscard]] std::vector<MonitorEvent> events() const;
@@ -133,6 +128,7 @@ class OnlineMonitor final : public RunObserver {
   static constexpr std::size_t kMaxEvents = 10'000;
 
   MonitorConfig cfg_;
+  const CausalSession* causal_ = nullptr;  // bound by attach()
   Multiset<Id> correct_ids_;
   std::vector<std::unique_ptr<ProcListener>> proxies_;
 

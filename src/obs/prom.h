@@ -1,25 +1,22 @@
-// Prometheus text exposition (version 0.0.4) for MetricsRegistry snapshots,
-// plus a strict parser for the same dialect.
+// Prometheus text exposition (version 0.0.4) for MetricsRegistry snapshots.
 //
 // The renderer is the payload of the admin channel's STATS verb: one call
 // turns a full registry snapshot (counters, gauges, fixed-layout histograms
 // including the window-QoS gauges) into the text format every Prometheus
-// scraper, including promtool, ingests directly. The parser exists for the
-// round-trip guarantee — tests assert parse(render(snapshot)) == snapshot,
-// so a rendering bug (bad escaping, non-cumulative buckets, missing +Inf)
-// cannot ship silently — and doubles as hds_top's STATS decoder.
+// scraper, including promtool, ingests directly. Its round-trip oracle, a
+// strict parser for the same dialect, lives with the tests
+// (tests/support/prom_parse.h): they assert parse(render(snapshot)) ==
+// snapshot, so a rendering bug (bad escaping, non-cumulative buckets,
+// missing +Inf) cannot ship silently.
 //
-// Dialect restrictions, deliberate on both sides:
-//  - values are integers (every instrument here is integral); the parser
-//    rejects floats — a strict subset, still valid exposition text;
+// Dialect restrictions:
+//  - values are integers (every instrument here is integral) — a strict
+//    subset, still valid exposition text;
 //  - histogram buckets render cumulatively with a final le="+Inf" bucket,
-//    _sum and _count lines, per the format spec; the parser refolds them
-//    into the registry's per-bucket layout and rejects non-monotone series;
-//  - every series must be preceded by its # TYPE line; unknown line shapes
-//    are errors, not skips.
+//    _sum and _count lines, per the format spec;
+//  - every series is preceded by its # TYPE line.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.h"
@@ -29,20 +26,5 @@ namespace hds::obs {
 // Renders every series, grouped by name under one # TYPE comment, names and
 // label sets in sorted order. Histograms expand to _bucket/_sum/_count.
 [[nodiscard]] std::string prometheus_text(const MetricsSnapshot& snap);
-
-class PromParseError : public std::runtime_error {
- public:
-  PromParseError(const std::string& what, std::size_t line)
-      : std::runtime_error(what + " at line " + std::to_string(line)), line_(line) {}
-  [[nodiscard]] std::size_t line() const { return line_; }
-
- private:
-  std::size_t line_;
-};
-
-// Strict inverse of prometheus_text. Throws PromParseError on anything the
-// renderer would not produce. The returned snapshot is sorted the same way
-// MetricsRegistry::snapshot() sorts, so round-trip comparison is ==.
-[[nodiscard]] MetricsSnapshot prometheus_parse(const std::string& text);
 
 }  // namespace hds::obs

@@ -82,14 +82,13 @@ class TelemetryMerger {
   void ingest(const TelemetryDelta& d);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] bool node_seen(ProcIndex node) const { return nodes_.count(node) != 0; }
   [[nodiscard]] bool node_final(ProcIndex node) const;
 
   // Last admin port this node announced; 0 when none has been. The launcher
   // uses these to publish admin_endpoints.json for hds_top.
   [[nodiscard]] std::uint16_t node_admin_port(ProcIndex node) const;
 
-  // Per-node windows for write_merged_chrome_trace, ascending node index.
+  // Per-node windows for merged_chrome_trace, ascending node index.
   [[nodiscard]] std::vector<NodeTrace> node_traces() const;
 
   [[nodiscard]] ClusterQos cluster_qos() const;

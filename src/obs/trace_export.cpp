@@ -103,8 +103,8 @@ void write_event_at(std::ostream& os, const TraceEvent& e, std::uint64_t pid, st
 
 }  // namespace
 
-void write_chrome_trace(const std::vector<TraceEvent>& events, const TraceExportMeta& meta,
-                        std::ostream& os) {
+std::string chrome_trace_json(const std::vector<TraceEvent>& events, const TraceExportMeta& meta) {
+  std::ostringstream os;
   os << "{\"traceEvents\":[\n";
   bool first = true;
   // Metadata: name the process row and one thread row per simulated process.
@@ -124,10 +124,11 @@ void write_chrome_trace(const std::vector<TraceEvent>& events, const TraceExport
      << ",\"dropped_events\":" << meta.dropped << ",\"label\":\"";
   json_escape_to(os, meta.label);
   os << "\"}}\n";
+  return os.str();
 }
 
-void write_trace_jsonl(const std::vector<TraceEvent>& events, const TraceExportMeta& meta,
-                       std::ostream& os) {
+std::string trace_jsonl(const std::vector<TraceEvent>& events, const TraceExportMeta& meta) {
+  std::ostringstream os;
   // Header line carries the run-level accounting so a stream consumer can
   // tell a partial window from a complete one.
   os << "{\"meta\":{\"event_count\":" << events.size() << ",\"dropped_events\":" << meta.dropped
@@ -154,22 +155,12 @@ void write_trace_jsonl(const std::vector<TraceEvent>& events, const TraceExportM
     }
     os << "}\n";
   }
-}
-
-std::string chrome_trace_json(const std::vector<TraceEvent>& events, const TraceExportMeta& meta) {
-  std::ostringstream os;
-  write_chrome_trace(events, meta, os);
   return os.str();
 }
 
-std::string trace_jsonl(const std::vector<TraceEvent>& events, const TraceExportMeta& meta) {
+std::string merged_chrome_trace_json(const std::vector<NodeTrace>& nodes,
+                                     const std::string& label) {
   std::ostringstream os;
-  write_trace_jsonl(events, meta, os);
-  return os.str();
-}
-
-void write_merged_chrome_trace(const std::vector<NodeTrace>& nodes, const std::string& label,
-                               std::ostream& os) {
   // Clock alignment: the earliest node epoch becomes t = 0 of the merged
   // timeline; every node's local milliseconds are offset by how much later
   // its clock started.
@@ -210,12 +201,6 @@ void write_merged_chrome_trace(const std::vector<NodeTrace>& nodes, const std::s
   os << "],\"label\":\"";
   json_escape_to(os, label);
   os << "\"}}\n";
-}
-
-std::string merged_chrome_trace_json(const std::vector<NodeTrace>& nodes,
-                                     const std::string& label) {
-  std::ostringstream os;
-  write_merged_chrome_trace(nodes, label, os);
   return os.str();
 }
 

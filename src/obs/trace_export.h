@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -34,15 +33,9 @@ struct TraceExportMeta {
 
 // Chrome trace-event format (JSON object form). SimTime ticks map 1:1 to
 // microseconds — the unit chrome://tracing displays natively.
-void write_chrome_trace(const std::vector<TraceEvent>& events, const TraceExportMeta& meta,
-                        std::ostream& os);
-
-// One JSON object per line: {"at":..., "kind":"...", "proc":..., "type":"..."}.
-void write_trace_jsonl(const std::vector<TraceEvent>& events, const TraceExportMeta& meta,
-                       std::ostream& os);
-
 [[nodiscard]] std::string chrome_trace_json(const std::vector<TraceEvent>& events,
                                             const TraceExportMeta& meta);
+// One JSON object per line: {"at":..., "kind":"...", "proc":..., "type":"..."}.
 [[nodiscard]] std::string trace_jsonl(const std::vector<TraceEvent>& events,
                                       const TraceExportMeta& meta);
 
@@ -61,8 +54,6 @@ struct NodeTrace {
 // `(epoch_wall_us - min(epoch_wall_us)) + at*1000` µs, flow arrows crossing
 // process lanes wherever a lineage id was broadcast on one node and
 // delivered on another.
-void write_merged_chrome_trace(const std::vector<NodeTrace>& nodes, const std::string& label,
-                               std::ostream& os);
 [[nodiscard]] std::string merged_chrome_trace_json(const std::vector<NodeTrace>& nodes,
                                                    const std::string& label);
 

@@ -53,8 +53,4 @@ inline constexpr std::uint64_t kLaneProcMask = (std::uint64_t{1} << kLaneProcBit
          ((proc & kLaneProcMask) << kLaneSeqBits) | (seq & kLaneSeqMask);
 }
 
-[[nodiscard]] constexpr LaneClass lane_class(Lane lane) {
-  return static_cast<LaneClass>(lane >> (kLaneProcBits + kLaneSeqBits));
-}
-
 }  // namespace hds

@@ -152,8 +152,8 @@ class System {
   [[nodiscard]] ShardRunStats shard_stats() const;
   // Dispatch-loop causal state (obs/causal.h); only advanced while the
   // trace is enabled AND shards == 1 (monitors — the only consumer — run
-  // single-shard). Monitors wire it into MonitorConfig::causal so mirrored
-  // violations carry the lineage of the event that tripped them.
+  // single-shard). OnlineMonitor::attach binds it so mirrored violations
+  // carry the lineage of the event that tripped them.
   [[nodiscard]] const obs::CausalSession& causal_session() const { return causal_obs_; }
 
  private:

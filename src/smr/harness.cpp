@@ -31,7 +31,7 @@ SmrSimResult run_smr_sim(const SmrSimParams& p) {
   if (p.full_stack) {
     timing = std::make_unique<PartialSyncTiming>(p.net);
   } else {
-    timing = std::make_unique<AsyncTiming>(p.async_min, p.async_max);
+    timing = std::make_unique<AsyncTiming>(kOracleAsyncMin, kOracleAsyncMax);
   }
   SimRun run(p, std::move(timing), /*oracle=*/!p.full_stack);
   System& sys = run.sys();
@@ -65,8 +65,7 @@ SmrSimResult run_smr_sim(const SmrSimParams& p) {
   }
   sys.start();
 
-  const SimTime quiesce = p.quiesce_at > 0 ? p.quiesce_at : (p.run_for * 3) / 4;
-  sys.run_until(quiesce);
+  sys.run_until((p.run_for * 3) / 4);
   for (SmrReplica* r : reps) r->stop_workload();
   sys.run_until(p.run_for);
 

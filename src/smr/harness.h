@@ -27,10 +27,9 @@ struct SmrSimParams : RunSpec {
   SmrConfig smr;            // n / t / replica are filled in per process
   WorkloadConfig workload;  // per-replica clients (client ids never collide)
 
+  // The workload stops at 3/4 of run_for; the protocol keeps running after
+  // that so in-flight batches land and replicas converge.
   SimTime run_for = 6000;
-  // Workload stop instant; 0 = 3/4 of run_for. The protocol keeps running
-  // after quiesce so in-flight batches land and replicas converge.
-  SimTime quiesce_at = 0;
   // After run_for, keep running (in slices) until the correct replicas
   // converge or this cap hits; 0 = no linger.
   SimTime max_time = 0;
@@ -40,7 +39,6 @@ struct SmrSimParams : RunSpec {
   bool full_stack = false;
   SimTime fd_stabilize = 0;  // oracle mode
   OracleHOmega::Noise noise = OracleHOmega::Noise::kNone;
-  SimTime async_min = 1, async_max = 8;
   PartialSyncTiming::Params net;  // full-stack mode
 };
 

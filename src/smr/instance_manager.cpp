@@ -64,8 +64,4 @@ std::size_t InstanceManager::open_above(std::int64_t frontier) const {
   return open;
 }
 
-std::int64_t InstanceManager::max_slot() const {
-  return slots_.empty() ? 0 : slots_.rbegin()->first;
-}
-
 }  // namespace hds::smr

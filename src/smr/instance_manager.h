@@ -83,7 +83,6 @@ class InstanceManager {
   // in-flight pipeline occupancy.
   [[nodiscard]] std::size_t open_above(std::int64_t frontier) const;
 
-  [[nodiscard]] std::int64_t max_slot() const;
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
   [[nodiscard]] std::uint64_t engines_created() const { return engines_created_; }
   [[nodiscard]] std::uint64_t records_gced() const { return records_gced_; }

@@ -8,6 +8,16 @@
 
 namespace hds::smr {
 
+namespace {
+
+constexpr std::size_t kMaxBatchOps = 32;   // ops per batch
+constexpr std::size_t kMaxInflight = 64;   // open slots above the commit frontier
+constexpr std::int64_t kGcKeep = 256;      // applied slots retained for repair
+constexpr std::size_t kRepairWindow = 64;  // committed entries re-broadcast per repair tick
+constexpr std::size_t kMaxForward = 128;   // pending ops piggybacked per follower ack
+
+}  // namespace
+
 // Per-slot Env wrapper handed to the Fig. 8 engines: forwards everything to
 // the real Env but records which slot owns each timer the engine arms, so
 // the replica can route timer fires back to the right engine. Engines never
@@ -69,7 +79,6 @@ void SmrReplica::attach_metrics(obs::MetricsRegistry* reg, const obs::Labels& la
 void SmrReplica::on_start(Env& env) {
   const SimTime now = env.local_now();
   peers_.assign(cfg_.n, PeerState{});
-  for (PeerState& p : peers_) p.heard_at = now;
   enqueue_local(driver_.start(now));
   lease_timer_ = env.set_timer(cfg_.lease_poll);
   // Acks staggered by replica index so the periodic broadcasts of n
@@ -438,12 +447,12 @@ void SmrReplica::ack_tick(Env& env) {
   a.applied_through = applied_through_;
   a.commit_frontier = committed_through_;
   a.commits =
-      commit_records_since(committed_through_ - static_cast<std::int64_t>(cfg_.max_inflight));
+      commit_records_since(committed_through_ - static_cast<std::int64_t>(kMaxInflight));
   if (!leading_) {
     // The follower→leader op channel: re-included until applied; the state
     // machine's dedup makes the repetition exactly-once.
     for (const auto& [key, op] : local_pending_) {
-      if (a.pending.size() >= cfg_.max_forward) break;
+      if (a.pending.size() >= kMaxForward) break;
       a.pending.push_back(op);
     }
   }
@@ -470,18 +479,18 @@ void SmrReplica::batch_tick(Env& env) {
 
 void SmrReplica::flush_batches(Env& env) {
   if (!leading_) return;
-  while (im_.open_above(committed_through_) < cfg_.max_inflight) {
+  while (im_.open_above(committed_through_) < kMaxInflight) {
     SmrBatch b;
     const auto gather = [&](const auto& pool) {
       for (const auto& [key, op] : pool) {
-        if (b.ops.size() >= cfg_.max_batch_ops) break;
+        if (b.ops.size() >= kMaxBatchOps) break;
         if (inflight_ops_.count(key) > 0) continue;
         if (kv_.applied_seq(key.first) >= key.second) continue;
         b.ops.push_back(op);
       }
     };
     gather(local_pending_);
-    if (b.ops.size() < cfg_.max_batch_ops) gather(forwarded_);
+    if (b.ops.size() < kMaxBatchOps) gather(forwarded_);
     if (b.ops.empty()) break;
     b.id = make_batch_id(cfg_.replica, ++batch_seq_);
     const std::int64_t s = ++next_slot_;
@@ -616,21 +625,18 @@ void SmrReplica::apply_ready(Env& env) {
   }
   obs::set(m_applied_frontier_, applied_through_);
   obs::set(m_inflight_, static_cast<std::int64_t>(im_.open_above(committed_through_)));
-  collect_garbage(env.local_now());
+  collect_garbage();
 }
 
-void SmrReplica::collect_garbage(SimTime now) {
-  // The erase frontier follows the slowest live peer, so a laggard (or a
-  // supervised respawn) can still be repaired from the retained log. A peer
-  // silent for peer_stale stops holding the frontier back.
+void SmrReplica::collect_garbage() {
+  // The erase frontier follows the slowest peer, so a laggard (or a
+  // supervised respawn) can still be repaired from the retained log. A
+  // permanently dead peer therefore pins it.
   std::int64_t learned = applied_through_;
   for (std::size_t r = 0; r < peers_.size(); ++r) {
-    if (r == cfg_.replica) continue;
-    const PeerState& p = peers_[r];
-    if (cfg_.peer_stale > 0 && now - p.heard_at > cfg_.peer_stale) continue;
-    learned = std::min(learned, p.applied_through);
+    if (r != cfg_.replica) learned = std::min(learned, peers_[r].applied_through);
   }
-  const std::int64_t keep = (applied_through_ - learned) + cfg_.gc_keep;
+  const std::int64_t keep = (applied_through_ - learned) + kGcKeep;
   const std::size_t erased = im_.gc(applied_through_, keep);
   if (erased > 0) obs::inc(m_instances_gced_, erased);
   while (!slot_envs_.empty() && slot_envs_.begin()->first <= applied_through_) {
@@ -639,12 +645,10 @@ void SmrReplica::collect_garbage(SimTime now) {
 }
 
 void SmrReplica::repair_peers(Env& env) {
-  const SimTime now = env.local_now();
   std::set<std::int64_t> needed;
   for (std::size_t r = 0; r < peers_.size(); ++r) {
     if (r == cfg_.replica) continue;
     PeerState& p = peers_[r];
-    if (cfg_.peer_stale > 0 && now - p.heard_at > cfg_.peer_stale) continue;  // dead
     if (p.heard_at == p.last_repair_heard) continue;  // no fresh ack; report in flight
     p.last_repair_heard = p.heard_at;
     if (p.applied_through >= committed_through_ ||
@@ -659,7 +663,7 @@ void SmrReplica::repair_peers(Env& env) {
     // TWO consecutive fresh acks with the frontier sat still.
     if (++p.stall_strikes < 2) continue;
     const std::int64_t hi = std::min(
-        committed_through_, p.applied_through + static_cast<std::int64_t>(cfg_.repair_window));
+        committed_through_, p.applied_through + static_cast<std::int64_t>(kRepairWindow));
     for (std::int64_t s = p.applied_through + 1; s <= hi; ++s) needed.insert(s);
   }
   for (const std::int64_t s : needed) {

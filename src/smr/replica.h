@@ -54,14 +54,6 @@ struct SmrConfig {
                                 // this gap is what amortizes acks to ~0 per batch)
   SimTime lease_poll = 8;       // HΩ re-evaluation period
   SimTime guard_poll = 4;       // recovery engines' FD poll period
-
-  std::size_t max_batch_ops = 32;  // ops per batch
-  std::size_t max_inflight = 64;   // open slots above the commit frontier
-  std::int64_t gc_keep = 256;      // applied slots retained for repair
-  SimTime peer_stale = 0;          // exclude peers silent this long from the GC
-                                   // frontier (0 = never exclude)
-  std::size_t repair_window = 64;  // committed entries re-broadcast per repair tick
-  std::size_t max_forward = 128;   // pending ops piggybacked per follower ack
 };
 
 class SmrReplica final : public Process {
@@ -147,7 +139,7 @@ class SmrReplica final : public Process {
   void advance_commit_frontier();
   void try_commit_by_acks();
   void apply_ready(Env& env);
-  void collect_garbage(SimTime now);
+  void collect_garbage();
   void flush_batches(Env& env);
   void repair_peers(Env& env);
   void enqueue_local(std::vector<SmrOp> ops);

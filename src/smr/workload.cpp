@@ -2,6 +2,10 @@
 
 namespace hds::smr {
 
+namespace {
+constexpr std::int64_t kKeySpace = 256;  // keys are drawn uniformly from [0, kKeySpace)
+}  // namespace
+
 WorkloadDriver::WorkloadDriver(WorkloadConfig cfg, std::size_t replica)
     : cfg_(cfg), replica_(replica) {
   clients_.reserve(cfg_.clients);
@@ -16,10 +20,7 @@ SmrOp WorkloadDriver::make_op(std::size_t c, SimTime now) {
   SmrOp op;
   op.client = static_cast<std::uint64_t>(replica_) * kClientStride + c;
   op.seq = cl.next_seq++;
-  const bool hot = cfg_.hot_prob > 0.0 && cl.rng.chance(cfg_.hot_prob);
-  const std::int64_t space = hot ? std::max<std::int64_t>(1, cfg_.hot_keys)
-                                 : std::max<std::int64_t>(1, cfg_.key_space);
-  op.key = cl.rng.uniform(0, space - 1);
+  op.key = cl.rng.uniform(0, kKeySpace - 1);
   op.val = cl.rng.uniform(1, 1'000'000);
   op.pad.assign(cfg_.op_size, static_cast<std::uint8_t>(op.seq & 0xFF));
   cl.inflight_seq = op.seq;

@@ -22,14 +22,8 @@
 namespace hds::smr {
 
 struct WorkloadConfig {
-  std::size_t clients = 8;       // closed-loop clients at this replica
-  std::size_t op_size = 0;       // payload padding bytes per op
-  std::int64_t key_space = 256;  // keys are drawn from [0, key_space)
-  // Key skew: with probability `hot_prob` the key is drawn from the first
-  // `hot_keys` keys (a cheap two-level approximation of a skewed access
-  // distribution); 0 disables.
-  double hot_prob = 0.0;
-  std::int64_t hot_keys = 8;
+  std::size_t clients = 8;  // closed-loop clients at this replica
+  std::size_t op_size = 0;  // payload padding bytes per op
   std::uint64_t seed = 1;
 };
 

@@ -551,6 +551,81 @@ TEST(GoldenTrace, ChaosCasesMatchCommittedDigests) {
   EXPECT_EQ(got, want);
 }
 
+TEST(GoldenTrace, SmrRunsMatchCommittedDigests) {
+  // The replicated log pinned byte for byte, since its harness returns no
+  // trace: every replica's applied hash chain, per-op latencies and its
+  // counts of garbage-collected slot records, repair appends and per-slot
+  // recovery engines, plus the broadcasts by type, the op total and the end
+  // instant. One run on the HΩ oracle with rotating noise, one on the full
+  // OHPPolling stack with the leader crashing under load. The oracle run's
+  // 2048 clients per replica fill the leader's in-flight window and the
+  // followers' forward cap, and its rotating leadership leaves followers a
+  // full repair window behind, so changing the replica's batch, in-flight,
+  // forward or retention bound, or shrinking its repair window, moves a
+  // digest. No repaired follower trails by more than 64 slots here, so a
+  // larger repair window moves nothing.
+  const auto digest = [](const smr::SmrSimResult& r) {
+    std::ostringstream os;
+    os << r.ops_total << ' ' << r.end_time;
+    for (const auto& [type, count] : r.broadcasts_by_type) os << ' ' << type << '=' << count;
+    for (const smr::SmrReplicaStats& st : r.replicas) {
+      os << "\n|";
+      for (const std::uint64_t h : st.applied_chain) os << ' ' << h;
+      os << " |";
+      for (const SimTime l : st.latencies) os << ' ' << l;
+      os << " | " << st.records_gced << ' ' << st.repair_appends_sent << ' ' << st.engines_created;
+    }
+    return fnv1a(os.str());
+  };
+
+  smr::SmrSimParams oracle;
+  oracle.ids = ids_unique(5);
+  oracle.t = 2;
+  oracle.workload.clients = 2048;
+  oracle.fd_stabilize = 1500;
+  oracle.noise = OracleHOmega::Noise::kRotating;
+  oracle.run_for = 2000;
+  oracle.max_time = 30'000;
+  oracle.seed = 1;
+
+  smr::SmrSimParams full;
+  full.ids = ids_unique(5);
+  full.t = 2;
+  full.full_stack = true;
+  full.workload.clients = 16;
+  full.crashes.assign(5, std::nullopt);
+  full.crashes[0] = CrashPlan{2500, false};
+  full.run_for = 8000;
+  full.max_time = 40'000;
+  full.seed = 3;
+
+  std::uint64_t gced = 0;
+  std::uint64_t repairs = 0;
+  std::uint64_t engines = 0;
+  std::vector<std::string> got;
+  for (const smr::SmrSimParams* p : {&oracle, &full}) {
+    const smr::SmrSimResult r = run_smr_sim(*p);
+    EXPECT_TRUE(r.converged);
+    EXPECT_TRUE(r.prefix_consistent);
+    for (const smr::SmrReplicaStats& st : r.replicas) {
+      gced += st.records_gced;
+      repairs += st.repair_appends_sent;
+      engines += st.engines_created;
+    }
+    std::ostringstream line;
+    line << r.ops_total << " end=" << r.end_time << " digest=" << std::hex << digest(r);
+    got.push_back(line.str());
+  }
+  EXPECT_GT(gced, 0u);
+  EXPECT_GT(repairs, 0u);
+  EXPECT_GT(engines, 0u);
+  const std::vector<std::string> want = {
+      "26560 end=2000 digest=1f74f30c72232e30",
+      "7520 end=8000 digest=c35fb9f3f8599689",
+  };
+  EXPECT_EQ(got, want);
+}
+
 // ----------------------------------------------- parallel experiment engine
 
 // ----------------------------------------------------------- sharded engine

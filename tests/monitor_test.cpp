@@ -78,7 +78,6 @@ TEST(Monitor, LeaderFlapAndDeadLeader) {
 
 TEST(Monitor, QuorumSafetyRulesIgnoreTheGate) {
   MonitorConfig cfg = base_config(1'000'000);  // gate far in the future
-  cfg.quorum_margin_warn = 1;
   OnlineMonitor mon(cfg);
 
   const auto snap_with = [](std::size_t tag, Multiset<Id> q) {

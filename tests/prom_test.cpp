@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "support/prom_parse.h"
 
 namespace hds::obs {
 namespace {

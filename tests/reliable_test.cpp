@@ -138,9 +138,8 @@ TEST(RelChannel, LossDupReorderStillYieldsExactlyOnceInOrderBothWays) {
   cfg.enabled = true;
   cfg.rto_initial_ms = 60;
   cfg.ack_delay_ms = 10;
-  cfg.seed = 7;
-  ReliableChannel a(cfg, 0, 11, 2, 0, nullptr);
-  ReliableChannel b(cfg, 1, 22, 2, 0, nullptr);
+  ReliableChannel a(cfg, 7, 0, 11, 2, 0, nullptr);
+  ReliableChannel b(cfg, 7, 1, 22, 2, 0, nullptr);
 
   Rng medium(20260809);
   std::multimap<SimTime, std::pair<ProcIndex, std::vector<std::uint8_t>>> wires;
@@ -217,9 +216,8 @@ TEST(RelChannel, RetryExhaustionAdvancesLostFloorInsteadOfWedging) {
   cfg.max_retransmits = 3;
   cfg.rto_initial_ms = 20;
   cfg.rto_max_ms = 40;
-  cfg.seed = 3;
-  ReliableChannel a(cfg, 0, 11, 2, 0, nullptr);
-  ReliableChannel b(cfg, 1, 22, 2, 0, nullptr);
+  ReliableChannel a(cfg, 3, 0, 11, 2, 0, nullptr);
+  ReliableChannel b(cfg, 3, 1, 22, 2, 0, nullptr);
 
   // 12 sends into a black hole: window overflow (drop-oldest) plus retry
   // exhaustion abandon everything.
@@ -250,9 +248,8 @@ TEST(RelChannel, RetryExhaustionAdvancesLostFloorInsteadOfWedging) {
 TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
   RelConfig cfg;
   cfg.enabled = true;
-  cfg.seed = 5;
-  ReliableChannel a(cfg, 0, 11, 2, /*self_epoch=*/0, nullptr);
-  ReliableChannel b1(cfg, 1, 22, 2, /*self_epoch=*/0, nullptr);
+  ReliableChannel a(cfg, 5, 0, 11, 2, /*self_epoch=*/0, nullptr);
+  ReliableChannel b1(cfg, 5, 1, 22, 2, /*self_epoch=*/0, nullptr);
 
   // Five payloads reach the first incarnation, but every ack is lost.
   for (int i = 1; i <= 5; ++i) {
@@ -273,7 +270,7 @@ TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
 
   // The new incarnation (tracking peer epochs afresh) gets all five, in
   // order, exactly once.
-  ReliableChannel b2(cfg, 1, 22, 2, /*self_epoch=*/1, nullptr);
+  ReliableChannel b2(cfg, 5, 1, 22, 2, /*self_epoch=*/1, nullptr);
   std::vector<Round> got;
   for (const RelSend& s : requeued) {
     EXPECT_EQ(s.to, 1u);
@@ -286,9 +283,9 @@ TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
 
   // Receiver-side staleness: a channel that has seen the peer's epoch-1
   // incarnation discards a lingering epoch-0 frame outright.
-  ReliableChannel c(cfg, 0, 11, 2, 0, nullptr);
-  ReliableChannel a0(cfg, 1, 22, 2, /*self_epoch=*/0, nullptr);
-  ReliableChannel a1(cfg, 1, 22, 2, /*self_epoch=*/1, nullptr);
+  ReliableChannel c(cfg, 5, 0, 11, 2, 0, nullptr);
+  ReliableChannel a0(cfg, 5, 1, 22, 2, /*self_epoch=*/0, nullptr);
+  ReliableChannel a1(cfg, 5, 1, 22, 2, /*self_epoch=*/1, nullptr);
   const auto old_frame =
       a0.wrap_data(0, OHPPolling::kPollType, frame_of(poll(1, 22), 1, 22), at(0));
   const auto new_frame =
@@ -305,9 +302,8 @@ TEST(RelChannel, VirtualTimeRunsAreReproducible) {
     RelConfig cfg;
     cfg.enabled = true;
     cfg.rto_initial_ms = 40;
-    cfg.seed = 9;
-    ReliableChannel a(cfg, 0, 1, 2, 0, nullptr);
-    ReliableChannel b(cfg, 1, 2, 2, 0, nullptr);
+    ReliableChannel a(cfg, 9, 0, 1, 2, 0, nullptr);
+    ReliableChannel b(cfg, 9, 1, 2, 2, 0, nullptr);
     Rng medium(4242);
     std::multimap<SimTime, std::vector<std::uint8_t>> wires;
     for (SimTime t = 0; t <= 3'000; ++t) {
