@@ -24,11 +24,12 @@ template <typename P, typename Make>
 std::pair<std::size_t, bool> run_sync_baseline(std::size_t n, std::size_t crash_k,
                                                std::size_t steps, std::uint64_t seed,
                                                Make make) {
-  SyncConfig cfg;
+  SystemConfig cfg;
   cfg.ids = ids_anonymous(n);
-  if (crash_k > 0) cfg.crashes = sync_crashes_last_k(n, crash_k, 0, 1, false);
+  cfg.timing = std::make_unique<BoundedTiming>(1);  // lock step: one tick per step
+  if (crash_k > 0) cfg.crashes = crashes_last_k(n, crash_k, 0, 1, false);
   cfg.seed = seed;
-  SyncSystem sys(std::move(cfg));
+  System sys(std::move(cfg));
   const auto proposals = distinct_proposals(n);
   std::vector<P*> procs;
   for (ProcIndex i = 0; i < n; ++i) {
@@ -36,7 +37,8 @@ std::pair<std::size_t, bool> run_sync_baseline(std::size_t n, std::size_t crash_
     procs.push_back(p.get());
     sys.set_process(i, std::move(p));
   }
-  sys.run_steps(steps);
+  sys.start();
+  sys.run_until(static_cast<SimTime>(steps));
   std::vector<DecisionRecord> decisions;
   for (auto* p : procs) decisions.push_back(p->decision());
   const bool ok = check_consensus(GroundTruth::from(sys), proposals, decisions).ok;

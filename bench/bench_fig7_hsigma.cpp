@@ -13,7 +13,7 @@ Fig7Result run(std::size_t n, std::size_t distinct, std::size_t crash_k, std::si
                std::uint64_t seed) {
   Fig7Params p;
   p.ids = ids_homonymous(n, distinct, seed + 29);
-  if (crash_k > 0) p.crashes = sync_crashes_last_k(n, crash_k, 1, stagger, true);
+  if (crash_k > 0) p.crashes = crashes_last_k(n, crash_k, 1, stagger, true);
   p.steps = 10 + crash_k * stagger + 5;
   p.seed = seed;
   p.metrics = hds::bench::metrics_sink();

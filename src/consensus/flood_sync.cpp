@@ -4,60 +4,66 @@
 
 namespace hds {
 
-std::vector<Message> FloodMinSync::step_send(std::size_t step) {
-  if (decision_.decided || step > t_) return {};
-  return {make_message(kFloodEstType, FloodEstMsg{est_})};
+namespace {
+
+// Opens a lock-step step: broadcast the estimate, then arm the unit step
+// timer that folds the step.
+void begin_step(Env& env, Value est) {
+  env.broadcast(make_message(kFloodEstType, FloodEstMsg{est}));
+  env.set_timer(1);
 }
 
-void FloodMinSync::step_recv(std::size_t step, const std::vector<Message>& delivered) {
+}  // namespace
+
+void FloodMinSync::on_start(Env& env) { begin_step(env, est_); }
+
+void FloodMinSync::on_message(Env&, const Message& m) {
   if (decision_.decided) return;
-  for (const Message& m : delivered) {
-    if (const auto* b = m.as<FloodEstMsg>()) est_ = std::min(est_, b->est);
-  }
+  if (const auto* b = m.as<FloodEstMsg>()) est_ = std::min(est_, b->est);
+}
+
+void FloodMinSync::on_timer(Env& env, TimerId) {
   // Steps 0..t flood; at the end of step t, t+1 exchanges have happened.
-  if (step >= t_) {
-    decision_ = DecisionRecord{true, static_cast<SimTime>(step), est_,
-                               static_cast<Round>(step + 1)};
+  if (step_ >= t_) {
+    decision_ = DecisionRecord{true, env.local_now(), est_, static_cast<Round>(step_ + 1)};
+    return;
   }
+  ++step_;
+  begin_step(env, est_);
 }
 
-std::vector<Message> ApStabilitySync::step_send(std::size_t) {
-  if (decision_.decided && relayed_) return {};
-  std::vector<Message> out;
-  if (pending_decision_) {
-    // One relay step: convey the decision before going quiet.
-    out.push_back(make_message(kFloodDecideType, FloodDecideMsg{*pending_decision_}));
-    relayed_ = true;
-    return out;
-  }
-  out.push_back(make_message(kFloodEstType, FloodEstMsg{est_}));
-  return out;
-}
+void ApStabilitySync::on_start(Env& env) { begin_step(env, est_); }
 
-void ApStabilitySync::step_recv(std::size_t step, const std::vector<Message>& delivered) {
+void ApStabilitySync::on_message(Env&, const Message& m) {
   if (decision_.decided) return;
-  std::size_t count = 0;
-  for (const Message& m : delivered) {
-    if (const auto* b = m.as<FloodEstMsg>()) {
-      est_ = std::min(est_, b->est);
-      ++count;
-    } else if (const auto* d = m.as<FloodDecideMsg>()) {
-      // Adopt a conveyed decision immediately (and relay it next step).
-      est_ = d->v;
-      pending_decision_ = d->v;
-    }
+  if (const auto* b = m.as<FloodEstMsg>()) {
+    est_ = std::min(est_, b->est);
+    ++count_;
+  } else if (const auto* d = m.as<FloodDecideMsg>()) {
+    // Adopt a conveyed decision immediately (and relay it next step).
+    est_ = d->v;
+    pending_decision_ = d->v;
   }
+}
+
+void ApStabilitySync::on_timer(Env& env, TimerId) {
   if (!pending_decision_) {
     // Early-stopping rule: two consecutive steps with the same alive-sender
     // count mean no crash interfered — the flood converged.
-    if (last_count_ && *last_count_ == count) pending_decision_ = est_;
-    last_count_ = count;
+    if (last_count_ && *last_count_ == count_) pending_decision_ = est_;
+    last_count_ = count_;
   }
+  count_ = 0;
   if (pending_decision_) {
-    decision_ = DecisionRecord{true, static_cast<SimTime>(step), *pending_decision_,
-                               static_cast<Round>(step + 1)};
-    steps_to_decide_ = step + 1;
+    decision_ = DecisionRecord{true, env.local_now(), *pending_decision_,
+                               static_cast<Round>(step_ + 1)};
+    steps_to_decide_ = step_ + 1;
+    // One relay step: convey the decision, then go quiet.
+    env.broadcast(make_message(kFloodDecideType, FloodDecideMsg{*pending_decision_}));
+    return;
   }
+  ++step_;
+  begin_step(env, est_);
 }
 
 }  // namespace hds

@@ -25,14 +25,19 @@
 //    the qualitative content of the "price of anonymity" discussion: with
 //    counting instead of identities, early stopping costs either rounds or
 //    uniformity.
+//
+// Both are lock-step processes: run them on System over BoundedTiming(1).
+// A step is a broadcast followed by a unit step timer, so step s is sent at
+// tick s and folded when the timer fires at tick s + 1, after every copy of
+// it has arrived (deliveries run before timers at the same tick). A process
+// crashing at tick s sends in step s and folds nothing from step s on.
 #pragma once
 
+#include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "common/types.h"
-#include "sim/message.h"
-#include "sim/sync_system.h"
+#include "sim/process.h"
 #include "spec/consensus_checkers.h"
 
 namespace hds {
@@ -48,27 +53,30 @@ struct FloodDecideMsg {
 inline constexpr const char* kFloodEstType = "FLOOD_EST";
 inline constexpr const char* kFloodDecideType = "FLOOD_DEC";
 
-class FloodMinSync final : public SyncProcess {
+class FloodMinSync final : public Process {
  public:
   FloodMinSync(Value proposal, std::size_t t) : est_(proposal), t_(t) {}
 
-  std::vector<Message> step_send(std::size_t step) override;
-  void step_recv(std::size_t step, const std::vector<Message>& delivered) override;
+  void on_start(Env& env) override;
+  void on_message(Env& env, const Message& m) override;
+  void on_timer(Env& env, TimerId id) override;
 
   [[nodiscard]] const DecisionRecord& decision() const { return decision_; }
 
  private:
   Value est_;
   std::size_t t_;
+  std::size_t step_ = 0;
   DecisionRecord decision_;
 };
 
-class ApStabilitySync final : public SyncProcess {
+class ApStabilitySync final : public Process {
  public:
   explicit ApStabilitySync(Value proposal) : est_(proposal) {}
 
-  std::vector<Message> step_send(std::size_t step) override;
-  void step_recv(std::size_t step, const std::vector<Message>& delivered) override;
+  void on_start(Env& env) override;
+  void on_message(Env& env, const Message& m) override;
+  void on_timer(Env& env, TimerId id) override;
 
   [[nodiscard]] const DecisionRecord& decision() const { return decision_; }
   // Steps the process actually ran before deciding (the measured "rounds").
@@ -76,9 +84,10 @@ class ApStabilitySync final : public SyncProcess {
 
  private:
   Value est_;
+  std::size_t step_ = 0;
+  std::size_t count_ = 0;  // estimates received in the current step
   std::optional<std::size_t> last_count_;
-  std::optional<Value> pending_decision_;  // decided; still relaying DECIDE
-  bool relayed_ = false;
+  std::optional<Value> pending_decision_;  // by a conveyed DECIDE or the stability rule
   DecisionRecord decision_;
   std::size_t steps_to_decide_ = 0;
 };

@@ -56,17 +56,6 @@ std::vector<std::optional<CrashPlan>> crashes_last_k(std::size_t n, std::size_t 
   return out;
 }
 
-std::vector<std::optional<SyncCrashPlan>> sync_crashes_last_k(std::size_t n, std::size_t k,
-                                                              std::size_t at_step,
-                                                              std::size_t stagger, bool partial) {
-  if (k >= n) throw std::invalid_argument("sync_crashes_last_k: would crash everyone");
-  std::vector<std::optional<SyncCrashPlan>> out(n);
-  for (std::size_t j = 0; j < k; ++j) {
-    out[n - 1 - j] = SyncCrashPlan{at_step + stagger * j, partial};
-  }
-  return out;
-}
-
 std::vector<Value> distinct_proposals(std::size_t n) {
   std::vector<Value> out(n);
   for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<Value>(100 + i);
@@ -75,17 +64,6 @@ std::vector<Value> distinct_proposals(std::size_t n) {
 
 GroundTruth ground_truth_of(const std::vector<Id>& ids,
                             const std::vector<std::optional<CrashPlan>>& crashes) {
-  GroundTruth gt;
-  gt.ids = ids;
-  gt.correct.resize(ids.size(), true);
-  for (std::size_t i = 0; i < ids.size() && i < crashes.size(); ++i) {
-    gt.correct[i] = !crashes[i].has_value();
-  }
-  return gt;
-}
-
-GroundTruth ground_truth_of(const std::vector<Id>& ids,
-                            const std::vector<std::optional<SyncCrashPlan>>& crashes) {
   GroundTruth gt;
   gt.ids = ids;
   gt.correct.resize(ids.size(), true);
@@ -104,15 +82,6 @@ std::vector<SimTime> crash_instants(const std::vector<std::optional<CrashPlan>>&
   std::vector<SimTime> out(n, -1);
   for (std::size_t i = 0; i < n && i < crashes.size(); ++i) {
     if (crashes[i]) out[i] = crashes[i]->at;
-  }
-  return out;
-}
-
-std::vector<SimTime> crash_instants(const std::vector<std::optional<SyncCrashPlan>>& crashes,
-                                    std::size_t n) {
-  std::vector<SimTime> out(n, -1);
-  for (std::size_t i = 0; i < n && i < crashes.size(); ++i) {
-    if (crashes[i]) out[i] = static_cast<SimTime>(crashes[i]->at_step);
   }
   return out;
 }
@@ -149,8 +118,8 @@ void set_stabilization_gauge(obs::MetricsRegistry* metrics, SimTime stab) {
   if (metrics != nullptr && stab >= 0) metrics->gauge("fd_stabilization_time").set(stab);
 }
 
-// QoS over the run's Fig. 6 detectors (plus its HΣ components, if any),
-// emitted into the spec's registry.
+// QoS over the run's Fig. 6 detectors and HΣ components (either list may be
+// empty), emitted into the spec's registry.
 obs::QosReport detector_qos(const System& sys, const RunSpec& spec, SimTime gst, SimTime run_end,
                             const std::vector<OHPPolling*>& fds,
                             const std::vector<HSigmaComponent*>& hsigs = {}) {
@@ -235,28 +204,34 @@ Fig6Result run_fig6(const Fig6Params& p) {
 }
 
 Fig7Result run_fig7(const Fig7Params& p) {
-  SyncConfig cfg;
-  cfg.ids = p.ids;
-  cfg.crashes = p.crashes;
-  cfg.seed = p.seed;
-  SyncSystem sys(std::move(cfg));
+  SimRun run(p, std::make_unique<BoundedTiming>(1));
+  System& sys = run.sys();
+  std::vector<HSigmaComponent*> fds(sys.n());
   for (ProcIndex i = 0; i < sys.n(); ++i) {
-    auto fd = std::make_unique<HSigmaSyncProcess>(sys.id_of(i));
+    auto fd = std::make_unique<HSigmaComponent>(1);
     fd->attach_metrics(p.metrics, proc_labels(i));
-    if (p.monitor != nullptr) fd->set_output_listener(p.monitor->listener(i));
+    fd->set_output_listener(run.listener(i));
+    fds[i] = fd.get();
     sys.set_process(i, std::move(fd));
   }
-  sys.run_steps(p.steps);
+  const auto steps = static_cast<SimTime>(p.steps);
+  sys.start();
+  // Steps 0..steps-1 are broadcast by tick steps-1 and folded by tick steps,
+  // where the survivors also broadcast step `steps`; the run counts the
+  // former only.
+  sys.run_until(steps - 1);
+  Fig7Result res;
+  res.messages = sys.net_stats().broadcasts;
+  sys.run_until(steps);
+  run.finish();
 
   const GroundTruth gt = GroundTruth::from(sys);
   std::vector<const Trajectory<HSigmaSnapshot>*> snaps;
-  Fig7Result res;
   for (ProcIndex i = 0; i < sys.n(); ++i) {
-    const auto& fd = static_cast<HSigmaSyncProcess&>(sys.process(i));
-    snaps.push_back(&fd.core().trace());
-    if (sys.is_correct(i) && !fd.core().trace().empty()) {
-      res.max_quora_stored =
-          std::max(res.max_quora_stored, fd.core().trace().final().quora.size());
+    const Trajectory<HSigmaSnapshot>& trace = fds[i]->core().trace();
+    snaps.push_back(&trace);
+    if (sys.is_correct(i) && !trace.empty()) {
+      res.max_quora_stored = std::max(res.max_quora_stored, trace.final().quora.size());
     }
   }
   res.check = check_hsigma(gt, snaps);
@@ -286,19 +261,11 @@ Fig7Result run_fig7(const Fig7Params& p) {
       }
       all_live = std::max(all_live, mine);
     }
-    res.liveness_step = all_live;
+    // The fold of step s is stamped at tick s + 1.
+    res.liveness_step = all_live < 0 ? -1 : all_live - 1;
   }
-  res.messages = sys.messages_sent();
-  if (p.collect_qos) {
-    obs::QosInput in;
-    in.gt = gt;
-    in.crash_at = crash_instants(p.crashes, sys.n());
-    in.gst = 0;  // synchronous: no stabilization delay to forgive
-    in.run_end = static_cast<SimTime>(p.steps);
-    in.hsigma = snaps;
-    res.qos = obs::analyze_qos(in);
-    obs::emit_qos(res.qos, p.metrics);
-  }
+  // Synchronous: no stabilization delay to forgive.
+  if (p.collect_qos) res.qos = detector_qos(sys, p, /*gst=*/0, steps, {}, fds);
   return res;
 }
 

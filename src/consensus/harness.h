@@ -25,9 +25,7 @@
 #include "fd/oracles.h"
 #include "fd/run_observer.h"
 #include "obs/metrics.h"
-#include "obs/monitor.h"
 #include "obs/qos.h"
-#include "sim/sync_system.h"
 #include "sim/system.h"
 #include "sim/timing.h"
 #include "spec/consensus_checkers.h"
@@ -50,10 +48,6 @@ std::vector<std::optional<CrashPlan>> crashes_none(std::size_t n);
 // small identifiers alive); `stagger` spaces them out.
 std::vector<std::optional<CrashPlan>> crashes_last_k(std::size_t n, std::size_t k, SimTime at,
                                                      SimTime stagger = 0, bool partial = false);
-std::vector<std::optional<SyncCrashPlan>> sync_crashes_last_k(std::size_t n, std::size_t k,
-                                                              std::size_t at_step,
-                                                              std::size_t stagger = 0,
-                                                              bool partial = false);
 
 std::vector<Value> distinct_proposals(std::size_t n);
 
@@ -61,8 +55,6 @@ std::vector<Value> distinct_proposals(std::size_t n);
 // what an obs::OnlineMonitor needs at construction time.
 GroundTruth ground_truth_of(const std::vector<Id>& ids,
                             const std::vector<std::optional<CrashPlan>>& crashes);
-GroundTruth ground_truth_of(const std::vector<Id>& ids,
-                            const std::vector<std::optional<SyncCrashPlan>>& crashes);
 
 // ------------------------------------------------------------- run spec
 
@@ -144,26 +136,23 @@ struct Fig6Result {
 
 Fig6Result run_fig6(const Fig6Params& p);
 
-struct Fig7Params {
-  std::vector<Id> ids;
-  std::vector<std::optional<SyncCrashPlan>> crashes;
-  std::size_t steps = 30;
-  std::uint64_t seed = 1;
-  obs::MetricsRegistry* metrics = nullptr;  // per-process series; null disables
-  bool collect_qos = false;                 // as in Fig6Params
-  // Fig. 7 runs on the lock-step SyncSystem, which takes no RunSpec: the
-  // monitor is its only observer. Null disables.
-  obs::OnlineMonitor* monitor = nullptr;
+// Fig. 7 in lock step: HSigmaComponent(1) over BoundedTiming(1). Step s is
+// broadcast at tick s and folded at tick s + 1, so its quorum is stamped at
+// s + 1. A crash at tick s (CrashPlan::at) is a crash in step s: the process
+// sends in step s and folds nothing from step s on.
+struct Fig7Params : RunSpec {
+  std::size_t steps = 30;    // steps 0..steps-1 are broadcast and folded
+  bool collect_qos = false;  // as in Fig6Params
 };
 
 struct Fig7Result {
   CheckResult check;
-  // First step at which every correct process holds a live quorum
+  // First step whose fold gives every correct process a live quorum
   // (m ⊆ I(S(x) ∩ Correct)); -1 if never.
   SimTime liveness_step = -1;
   std::size_t max_quora_stored = 0;
-  std::uint64_t messages = 0;
-  obs::QosReport qos;  // populated when collect_qos was set
+  std::uint64_t messages = 0;  // IDENT broadcasts of steps 0..steps-1
+  obs::QosReport qos;          // populated when collect_qos was set
 };
 
 Fig7Result run_fig7(const Fig7Params& p);

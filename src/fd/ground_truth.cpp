@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/sync_system.h"
 #include "sim/system.h"
 
 namespace hds {
@@ -32,16 +31,6 @@ GroundTruth GroundTruth::from(const System& sys) {
   gt.ids = sys.ids();
   gt.correct.resize(sys.n());
   for (ProcIndex i = 0; i < sys.n(); ++i) gt.correct[i] = sys.is_correct(i);
-  return gt;
-}
-
-GroundTruth GroundTruth::from(const SyncSystem& sys) {
-  GroundTruth gt;
-  gt.correct.resize(sys.n());
-  for (ProcIndex i = 0; i < sys.n(); ++i) {
-    gt.ids.push_back(sys.id_of(i));
-    gt.correct[i] = sys.is_correct(i);
-  }
   return gt;
 }
 

@@ -11,7 +11,6 @@
 namespace hds {
 
 class System;
-class SyncSystem;
 
 struct GroundTruth {
   std::vector<Id> ids;
@@ -24,7 +23,6 @@ struct GroundTruth {
   [[nodiscard]] std::size_t correct_count() const;
 
   static GroundTruth from(const System& sys);
-  static GroundTruth from(const SyncSystem& sys);
 };
 
 }  // namespace hds

@@ -11,17 +11,22 @@
 //
 // Until the first step completes, anap is "infinity" (SIZE_MAX): AP must
 // over- rather than under-estimate, and an anonymous process does not know n.
+//
+// APComponent is the lock-step host, with the same contract as
+// HSigmaComponent: a step is a broadcast followed by a step timer of
+// `step_len` >= the known link bound. The count is formed at the end of a
+// step, when a sender that crashed while broadcasting in it is already dead,
+// so the value is stamped at the tick the step timer fires (AP safety is
+// against the aliveness from the moment of the estimate on).
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 #include "common/trajectory.h"
 #include "common/types.h"
 #include "fd/interfaces.h"
 #include "sim/process.h"
-#include "sim/sync_system.h"
 
 namespace hds {
 
@@ -41,24 +46,10 @@ class APCore {
   Trajectory<std::size_t> trace_;
 };
 
-class APSyncProcess final : public SyncProcess, public APHandle {
+class APComponent final : public Process, public APHandle {
  public:
   static constexpr const char* kMsgType = "AP_ALIVE";
 
-  std::vector<Message> step_send(std::size_t step) override;
-  void step_recv(std::size_t step, const std::vector<Message>& delivered) override;
-
-  [[nodiscard]] std::size_t anap() const override { return core_.anap(); }
-  [[nodiscard]] const APCore& core() const { return core_; }
-
- private:
-  APCore core_;
-};
-
-// Event-engine lock-step host (same contract as HSigmaComponent: step_len
-// must exceed the known link bound).
-class APComponent final : public Process, public APHandle {
- public:
   explicit APComponent(SimTime step_len);
 
   void on_start(Env& env) override;

@@ -25,32 +25,19 @@ void HSigmaCore::on_step_idents(SimTime t, const Multiset<Id>& mset) {
   if ((new_label || new_quorum) && listener_ != nullptr) listener_->on_hsigma_change(t, state_);
 }
 
-std::vector<Message> HSigmaSyncProcess::step_send(std::size_t) {
-  return {make_message(kMsgType, IdentMsg{self_id_})};
-}
-
-void HSigmaSyncProcess::step_recv(std::size_t step, const std::vector<Message>& delivered) {
-  Multiset<Id> mset;
-  for (const Message& m : delivered) {
-    if (m.type != kMsgType) continue;
-    if (const auto* body = m.as<IdentMsg>()) mset.insert(body->id);
-  }
-  core_.on_step_idents(static_cast<SimTime>(step), mset);
-}
-
 HSigmaComponent::HSigmaComponent(SimTime step_len) : step_len_(step_len) {}
 
 void HSigmaComponent::on_start(Env& env) { begin_step(env); }
 
 void HSigmaComponent::begin_step(Env& env) {
-  // Broadcast before arming the timer: with a link bound < step_len_, every
+  // Broadcast before arming the timer: with a link bound <= step_len_, every
   // IDENT of this step is delivered before the step timer fires.
-  env.broadcast(make_message(HSigmaSyncProcess::kMsgType, IdentMsg{env.self_id()}));
+  env.broadcast(make_message(kMsgType, IdentMsg{env.self_id()}));
   step_timer_ = env.set_timer(step_len_);
 }
 
 void HSigmaComponent::on_message(Env&, const Message& m) {
-  if (m.type != HSigmaSyncProcess::kMsgType) return;
+  if (m.type != kMsgType) return;
   if (const auto* body = m.as<IdentMsg>()) pending_.insert(body->id);
 }
 

@@ -6,16 +6,13 @@
 // (mset, mset) joins h_quora and mset joins h_labels (a quorum is labelled
 // by its own identifier multiset).
 //
-// Two hosts are provided around the shared core:
-//  - HSigmaSyncProcess: the paper-exact lock-step version for SyncSystem.
-//  - HSigmaComponent:   the same protocol in the event engine, where the
-//    known synchronous bounds are realized as a fixed step length strictly
-//    greater than the maximum link latency (so a step collects exactly the
-//    IDENTs broadcast in it). This is what lets the Fig. 9 consensus run on
-//    top of Fig. 7 in a single engine.
+// HSigmaComponent runs the protocol on System (or NetSystem): a step is a
+// broadcast followed by a step timer of fixed length, and the synchronous
+// model's known link bound is what makes one step collect exactly the
+// IDENTs broadcast in it. With BoundedTiming(1) and a step length of 1 this
+// is the paper's lock-step round; the Fig. 9 synchronous stack runs it with
+// a longer step over the same engine.
 #pragma once
-
-#include <vector>
 
 #include "common/multiset.h"
 #include "common/trajectory.h"
@@ -24,7 +21,6 @@
 #include "fd/output_hooks.h"
 #include "obs/metrics.h"
 #include "sim/process.h"
-#include "sim/sync_system.h"
 
 namespace hds {
 
@@ -33,7 +29,7 @@ struct IdentMsg {
   friend bool operator==(const IdentMsg&, const IdentMsg&) = default;
 };
 
-// Protocol state shared by both hosts.
+// Protocol state, apart from the step clock that drives it.
 class HSigmaCore {
  public:
   // Folds in the identifier multiset observed during one step.
@@ -58,31 +54,15 @@ class HSigmaCore {
   obs::Histogram* m_quorum_size_ = nullptr;
 };
 
-class HSigmaSyncProcess final : public SyncProcess, public HSigmaHandle {
+class HSigmaComponent final : public Process, public HSigmaHandle {
  public:
   static constexpr const char* kMsgType = "IDENT";
 
-  explicit HSigmaSyncProcess(Id self_id) : self_id_(self_id) {}
-
-  std::vector<Message> step_send(std::size_t step) override;
-  void step_recv(std::size_t step, const std::vector<Message>& delivered) override;
-
-  [[nodiscard]] HSigmaSnapshot snapshot() const override { return core_.snapshot(); }
-  [[nodiscard]] const HSigmaCore& core() const { return core_; }
-  void attach_metrics(obs::MetricsRegistry* reg, const obs::Labels& labels = {}) {
-    core_.attach_metrics(reg, labels);
-  }
-  void set_output_listener(FdOutputListener* l) { core_.set_output_listener(l); }
-
- private:
-  Id self_id_;
-  HSigmaCore core_;
-};
-
-class HSigmaComponent final : public Process, public HSigmaHandle {
- public:
-  // `step_len` must exceed the known link-latency bound of the synchronous
-  // system (e.g. BoundedTiming(delta) with step_len = delta + 1).
+  // `step_len` must be at least the known link-latency bound of the
+  // synchronous system (e.g. BoundedTiming(delta) with step_len = delta):
+  // an IDENT broadcast when a step begins arrives by the tick its step timer
+  // fires, and deliveries run before timers at the same tick (sim/lane.h).
+  // The fold of step s is stamped at the tick that timer fires.
   explicit HSigmaComponent(SimTime step_len);
 
   void on_start(Env& env) override;

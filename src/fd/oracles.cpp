@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/sync_system.h"
 #include "sim/system.h"
 
 namespace hds {

@@ -16,7 +16,6 @@
 #include "sim/process.h"           // IWYU pragma: export
 #include "sim/scheduler.h"         // IWYU pragma: export
 #include "sim/stacked_process.h"   // IWYU pragma: export
-#include "sim/sync_system.h"       // IWYU pragma: export
 #include "sim/system.h"            // IWYU pragma: export
 #include "sim/timing.h"            // IWYU pragma: export
 #include "sim/tracelog.h"          // IWYU pragma: export

@@ -144,7 +144,7 @@ CodecRegistry build() {
       1, AliveRanker::kMsgType, [](const AliveMsg& m, WireWriter& w) { w.varint(m.id); },
       [](WireReader& r) { return AliveMsg{r.varint()}; }));
   reg.add(codec<ApAliveMsg>(
-      2, APSyncProcess::kMsgType, [](const ApAliveMsg&, WireWriter&) {},
+      2, APComponent::kMsgType, [](const ApAliveMsg&, WireWriter&) {},
       [](WireReader&) { return ApAliveMsg{}; }));
   reg.add(codec<HeartbeatMsg>(
       3, HOmegaHeartbeat::kMsgType,
@@ -159,7 +159,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<IdentMsg>(
-      4, HSigmaSyncProcess::kMsgType, [](const IdentMsg& m, WireWriter& w) { w.varint(m.id); },
+      4, HSigmaComponent::kMsgType, [](const IdentMsg& m, WireWriter& w) { w.varint(m.id); },
       [](WireReader& r) { return IdentMsg{r.varint()}; }));
   reg.add(codec<PollingMsg>(
       5, OHPPolling::kPollType,

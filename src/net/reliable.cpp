@@ -311,22 +311,27 @@ void ReliableChannel::on_ack(ProcIndex from, std::uint64_t ack_epoch, std::uint6
   SendLink& s = send_.at(from);
   ++st_.acks_received;
   obs::inc(m_acks_received_);
-  while (!s.window.empty() && s.window.front().seq <= ack_cum) {
-    const Inflight& f = s.window.front();
+  // A frame counts, and times the link, at its first ack, selective or
+  // cumulative. A frame sacked earlier was counted then: the cumulative ack
+  // passes it only once the hole before it is repaired, so timing it here
+  // would measure the wait for a retransmission, not the round trip.
+  const auto first_ack = [&](const Inflight& f) {
     if (f.attempts == 1) {
       // Karn's rule: a retransmitted frame's ack is ambiguous, never a sample.
       update_rtt(s, ms_between(f.first_sent, now));
     }
     ++st_.acked;
     obs::inc(m_acked_);
+  };
+  while (!s.window.empty() && s.window.front().seq <= ack_cum) {
+    if (!s.window.front().sacked) first_ack(s.window.front());
     s.window.pop_front();
   }
   for (Inflight& f : s.window) {
     if (f.sacked || f.seq <= ack_cum || f.seq > ack_cum + 64) continue;
     if ((ack_bits >> (f.seq - ack_cum - 1) & 1) != 0) {
       f.sacked = true;
-      ++st_.acked;
-      obs::inc(m_acked_);
+      first_ack(f);
     }
   }
 }

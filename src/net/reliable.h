@@ -8,7 +8,8 @@
 //   - retransmission is driven by a Jacobson-estimated RTO (SRTT + 4*RTTVAR,
 //     clamped to [rto_min, rto_max]) with exponential backoff plus seeded
 //     jitter; RTT samples follow Karn's rule (only frames never
-//     retransmitted time the link);
+//     retransmitted time the link) and are taken at a frame's first ack,
+//     selective or cumulative;
 //   - when the window overflows or a frame exhausts its retry budget the
 //     OLDEST frame is abandoned and the link's "lost floor" advances —
 //     the floor rides every later frame so the receiver skips the abandoned

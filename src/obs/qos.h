@@ -49,8 +49,8 @@ namespace hds::obs {
 
 struct QosInput {
   GroundTruth gt;
-  // Per-process crash instant; -1 for processes that never crash. For
-  // lock-step (SyncSystem) runs, the step number serves as the instant.
+  // Per-process crash instant; -1 for processes that never crash. In a
+  // lock-step run the tick of a crash is its step.
   std::vector<SimTime> crash_at;
   // Stabilization reference: detection/mistake/leader metrics are measured
   // from here (the network's GST under partial synchrony, 0 otherwise).

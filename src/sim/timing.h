@@ -5,9 +5,9 @@
 //    stabilization time GST a message may be lost or arbitrarily delayed;
 //    a message sent at or after GST is delivered within delta. delta also
 //    absorbs the bounded processing time of partially synchronous processes.
-//  - BoundedTiming   : HSS-like links inside the event engine — every message
-//    is delivered within a known bound (used by the lock-step adapters of
-//    the synchronous algorithms).
+//  - BoundedTiming   : HSS links — every message is delivered within a known
+//    bound. With a step timer no shorter than the bound it gives the
+//    synchronous algorithms their lock-step rounds.
 #pragma once
 
 #include <map>

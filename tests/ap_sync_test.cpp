@@ -1,6 +1,6 @@
 // AP (anonymous perfect detector) property tests: anap over-approximates
-// the alive count at all times and converges to |Correct| — in the
-// lock-step engine and through the event-engine adapter.
+// the alive count at all times and converges to |Correct| — in lock step
+// (unit delay, unit step) and with a longer step over a wider link bound.
 #include "fd/impl/ap_sync.h"
 
 #include <gtest/gtest.h>
@@ -15,25 +15,29 @@
 namespace hds {
 namespace {
 
-struct SyncRun {
-  std::unique_ptr<SyncSystem> sys;
-  std::vector<APSyncProcess*> fds;
+struct LockStepRun {
+  std::unique_ptr<System> sys;
+  std::vector<APComponent*> fds;
 };
 
-SyncRun run_ap(std::size_t n, std::size_t crash_k, std::size_t crash_step, bool partial,
-               std::size_t steps, std::uint64_t seed) {
-  SyncConfig cfg;
+// Runs `steps` lock steps: APComponent(1) over BoundedTiming(1), so step s is
+// folded at tick s + 1.
+LockStepRun run_ap(std::size_t n, std::size_t crash_k, SimTime crash_step, bool partial,
+                   std::size_t steps, std::uint64_t seed) {
+  SystemConfig cfg;
   cfg.ids = ids_anonymous(n);
-  if (crash_k > 0) cfg.crashes = sync_crashes_last_k(n, crash_k, crash_step, 1, partial);
+  cfg.timing = std::make_unique<BoundedTiming>(1);
+  if (crash_k > 0) cfg.crashes = crashes_last_k(n, crash_k, crash_step, 1, partial);
   cfg.seed = seed;
-  SyncRun r;
-  r.sys = std::make_unique<SyncSystem>(std::move(cfg));
+  LockStepRun r;
+  r.sys = std::make_unique<System>(std::move(cfg));
   for (ProcIndex i = 0; i < n; ++i) {
-    auto fd = std::make_unique<APSyncProcess>();
+    auto fd = std::make_unique<APComponent>(1);
     r.fds.push_back(fd.get());
     r.sys->set_process(i, std::move(fd));
   }
-  r.sys->run_steps(steps);
+  r.sys->start();
+  r.sys->run_until(static_cast<SimTime>(steps));
   return r;
 }
 
@@ -43,7 +47,7 @@ TEST(APSync, NoCrashesCountsN) {
 }
 
 TEST(APSync, BootstrapValueIsInfinity) {
-  APSyncProcess fd;
+  APComponent fd(1);
   EXPECT_EQ(fd.anap(), std::numeric_limits<std::size_t>::max());
 }
 
@@ -65,9 +69,7 @@ TEST_P(ApSweep, SafetyAndLiveness) {
   const GroundTruth gt = GroundTruth::from(*r.sys);
   std::vector<const Trajectory<std::size_t>*> traces;
   for (auto* fd : r.fds) traces.push_back(&fd->core().trace());
-  auto alive = [&](SimTime t) {
-    return r.sys->alive_count_in_step(static_cast<std::size_t>(std::max<SimTime>(t, 0)));
-  };
+  auto alive = [&](SimTime t) { return r.sys->alive_count_at(t); };
   auto res = check_ap(gt, traces, alive, static_cast<SimTime>(steps), 2);
   EXPECT_TRUE(res.ok) << res.detail;
 }

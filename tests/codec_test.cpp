@@ -135,11 +135,11 @@ Message random_body(const std::string& type, Rng& rng) {
   };
 
   if (type == AliveRanker::kMsgType) return make_message(type, AliveMsg{rid()});
-  if (type == APSyncProcess::kMsgType) return make_message(type, ApAliveMsg{});
+  if (type == APComponent::kMsgType) return make_message(type, ApAliveMsg{});
   if (type == HOmegaHeartbeat::kMsgType) {
     return make_message(type, HeartbeatMsg{rid(), rng.uniform(0, 1 << 30)});
   }
-  if (type == HSigmaSyncProcess::kMsgType) return make_message(type, IdentMsg{rid()});
+  if (type == HSigmaComponent::kMsgType) return make_message(type, IdentMsg{rid()});
   if (type == OHPPolling::kPollType) return make_message(type, PollingMsg{rround(), rid()});
   if (type == OHPPolling::kReplyType) {
     return make_message(type, PollReplyMsg{rround(), rround(), rid(), rid()});
@@ -204,9 +204,9 @@ bool bodies_equal(const std::string& type, const std::any& a, const std::any& b)
     return *std::any_cast<T>(&a) == *std::any_cast<T>(&b);
   };
   if (type == AliveRanker::kMsgType) return eq(AliveMsg{});
-  if (type == APSyncProcess::kMsgType) return eq(ApAliveMsg{});
+  if (type == APComponent::kMsgType) return eq(ApAliveMsg{});
   if (type == HOmegaHeartbeat::kMsgType) return eq(HeartbeatMsg{});
-  if (type == HSigmaSyncProcess::kMsgType) return eq(IdentMsg{});
+  if (type == HSigmaComponent::kMsgType) return eq(IdentMsg{});
   if (type == OHPPolling::kPollType) return eq(PollingMsg{});
   if (type == OHPPolling::kReplyType) return eq(PollReplyMsg{});
   if (type == kCoordType) return eq(CoordMsg{});

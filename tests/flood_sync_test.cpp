@@ -17,7 +17,7 @@ namespace {
 
 template <typename P, typename Make>
 struct SyncConsensusRun {
-  std::unique_ptr<SyncSystem> sys;
+  std::unique_ptr<System> sys;
   std::vector<P*> procs;
   std::vector<Value> proposals;
 
@@ -28,23 +28,27 @@ struct SyncConsensusRun {
   }
 };
 
+// Runs `steps` lock steps over BoundedTiming(1): step s is folded at tick
+// s + 1, and a crash at tick s is a crash in step s.
 template <typename P, typename Make>
-SyncConsensusRun<P, Make> run_sync(std::size_t n, std::size_t crash_k, std::size_t crash_step,
-                                   std::size_t stagger, bool partial, std::size_t steps,
+SyncConsensusRun<P, Make> run_sync(std::size_t n, std::size_t crash_k, SimTime crash_step,
+                                   SimTime stagger, bool partial, std::size_t steps,
                                    std::uint64_t seed, Make make) {
-  SyncConfig cfg;
+  SystemConfig cfg;
   cfg.ids = ids_anonymous(n);  // identifiers are irrelevant to both baselines
-  if (crash_k > 0) cfg.crashes = sync_crashes_last_k(n, crash_k, crash_step, stagger, partial);
+  cfg.timing = std::make_unique<BoundedTiming>(1);
+  if (crash_k > 0) cfg.crashes = crashes_last_k(n, crash_k, crash_step, stagger, partial);
   cfg.seed = seed;
   SyncConsensusRun<P, Make> run;
-  run.sys = std::make_unique<SyncSystem>(std::move(cfg));
+  run.sys = std::make_unique<System>(std::move(cfg));
   run.proposals = distinct_proposals(n);
   for (ProcIndex i = 0; i < n; ++i) {
     auto p = make(run.proposals[i]);
     run.procs.push_back(p.get());
     run.sys->set_process(i, std::move(p));
   }
-  run.sys->run_steps(steps);
+  run.sys->start();
+  run.sys->run_until(static_cast<SimTime>(steps));
   return run;
 }
 

@@ -175,15 +175,15 @@ TEST(Harness, ObserversAttachListenAndFinishInListOrder) {
   EXPECT_TRUE(saw_hsigma);
 }
 
-TEST(Harness, SyncCrashHelperShape) {
-  auto crashes = sync_crashes_last_k(5, 2, 3, 2, true);
+TEST(Harness, CrashHelperShape) {
+  auto crashes = crashes_last_k(5, 2, 3, 2, true);
   EXPECT_FALSE(crashes[0].has_value());
   ASSERT_TRUE(crashes[4].has_value());
-  EXPECT_EQ(crashes[4]->at_step, 3u);
+  EXPECT_EQ(crashes[4]->at, 3);
   EXPECT_TRUE(crashes[4]->partial_broadcast);
   ASSERT_TRUE(crashes[3].has_value());
-  EXPECT_EQ(crashes[3]->at_step, 5u);
-  EXPECT_THROW(sync_crashes_last_k(2, 2, 0), std::invalid_argument);
+  EXPECT_EQ(crashes[3]->at, 5);
+  EXPECT_THROW(crashes_last_k(2, 2, 0), std::invalid_argument);
 }
 
 }  // namespace

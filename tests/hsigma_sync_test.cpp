@@ -1,7 +1,7 @@
 // Figure 7 (HΣ in HSS) property tests — Theorem 6 as a machine check:
 // validity, monotonicity, liveness and safety of the produced quora, under
-// crash schedules including crash-during-broadcast, plus the event-engine
-// lock-step adapter.
+// crash schedules including crash-during-broadcast, in lock step (unit
+// delay, unit step) and with a longer step over a wider link bound.
 #include "fd/impl/hsigma_sync.h"
 
 #include <gtest/gtest.h>
@@ -28,7 +28,7 @@ TEST(HSigmaSync, QuietRunProducesTheFullQuorum) {
 TEST(HSigmaSync, CrashesCreateNestedQuora) {
   Fig7Params p;
   p.ids = ids_homonymous(6, 3, 9);
-  p.crashes = sync_crashes_last_k(6, 2, 2, /*stagger=*/2);
+  p.crashes = crashes_last_k(6, 2, 2, /*stagger=*/2);
   p.steps = 12;
   auto r = run_fig7(p);
   EXPECT_TRUE(r.check.ok) << r.check.detail;
@@ -42,7 +42,7 @@ TEST(HSigmaSync, PartialDyingBroadcastStaysSafe) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Fig7Params p;
     p.ids = ids_homonymous(5, 2, 4);
-    p.crashes = sync_crashes_last_k(5, 2, 1, 1, /*partial=*/true);
+    p.crashes = crashes_last_k(5, 2, 1, 1, /*partial=*/true);
     p.steps = 10;
     p.seed = seed;
     auto r = run_fig7(p);
@@ -53,7 +53,7 @@ TEST(HSigmaSync, PartialDyingBroadcastStaysSafe) {
 TEST(HSigmaSync, AnonymousExtreme) {
   Fig7Params p;
   p.ids = ids_anonymous(5);
-  p.crashes = sync_crashes_last_k(5, 3, 1, 1);
+  p.crashes = crashes_last_k(5, 3, 1, 1);
   p.steps = 12;
   auto r = run_fig7(p);
   EXPECT_TRUE(r.check.ok) << r.check.detail;
@@ -77,8 +77,8 @@ TEST(HSigmaCore, LabelIsTheMultisetItself) {
   EXPECT_TRUE(snap.labels.contains(Label::of_multiset(m)));
 }
 
-// The event-engine adapter must produce the same detector as the lock-step
-// engine when steps align with the link bound.
+// A step longer than one tick over a wider link bound yields the same
+// detector as lock step.
 TEST(HSigmaComponent, EventEngineAdapterSatisfiesHSigma) {
   SystemConfig cfg;
   cfg.ids = ids_homonymous(5, 2, 6);
@@ -102,10 +102,10 @@ TEST(HSigmaComponent, EventEngineAdapterSatisfiesHSigma) {
 }
 
 TEST(HSigmaComponent, ViolatedSynchronyBoundBreaksTheDetector) {
-  // The Fig. 7 adapter's contract is step_len > link bound (the HSS model's
-  // known delta). Violate it — delays up to 6 with a step length of 3 — and
-  // steps observe partial sender sets, producing splittable quora that the
-  // exact safety checker flags. This is why HΣ lives in HSS, not HPS.
+  // The Fig. 7 component's contract is step_len >= link bound (the HSS
+  // model's known delta). Violate it — delays up to 6 with a step length of
+  // 3 — and steps observe partial sender sets, producing splittable quora
+  // that the exact safety checker flags. This is why HΣ lives in HSS, not HPS.
   SystemConfig cfg;
   cfg.ids = ids_homonymous(5, 2, 6);
   cfg.timing = std::make_unique<BoundedTiming>(6);
@@ -133,12 +133,24 @@ TEST_P(HSigmaSweep, Theorem6Holds) {
   auto [n, distinct, crash_k, partial, seed] = GetParam();
   Fig7Params p;
   p.ids = ids_homonymous(n, distinct, 31 * seed + 7);
-  p.crashes = sync_crashes_last_k(n, crash_k, 1, 1, partial);
+  p.crashes = crashes_last_k(n, crash_k, 1, 1, partial);
   p.steps = 14;
   p.seed = static_cast<std::uint64_t>(seed);
   auto r = run_fig7(p);
   EXPECT_TRUE(r.check.ok) << r.check.detail;
-  EXPECT_GE(r.liveness_step, 0);
+  // Theorem 6's liveness step. The crashes fall in steps 1..crash_k. A full
+  // broadcast in the last crash step still reaches everyone, so the first
+  // quorum of correct processes only is the next step's. A partial one may
+  // reach no one, which makes the crash step's own quorum live.
+  const auto last_crash = static_cast<SimTime>(crash_k);
+  if (crash_k == 0) {
+    EXPECT_EQ(r.liveness_step, 0);
+  } else if (!partial) {
+    EXPECT_EQ(r.liveness_step, last_crash + 1);
+  } else {
+    EXPECT_GE(r.liveness_step, last_crash);
+    EXPECT_LE(r.liveness_step, last_crash + 1);
+  }
 }
 
 const testing::ParamGrid<HSigmaSweep::ParamType> kHSigmaGrid(

@@ -243,7 +243,7 @@ TEST(QosEndToEnd, Fig6RunProducesDetectionAndLeaderRecords) {
 TEST(QosEndToEnd, Fig7RunProducesQuorumMargins) {
   Fig7Params p;
   p.ids = ids_homonymous(5, 2, 1);
-  p.crashes = sync_crashes_last_k(5, 2, /*at_step=*/10, /*stagger=*/2);
+  p.crashes = crashes_last_k(5, 2, /*at=*/10, /*stagger=*/2);
   p.steps = 30;
   p.seed = 1;
   p.collect_qos = true;

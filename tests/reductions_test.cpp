@@ -207,42 +207,61 @@ TEST(Lemma2, ApToOhpOverOracle) {
 }
 
 TEST(Lemma2, BootstrapInfinityMapsToEmpty) {
-  APSyncProcess ap;  // anap = infinity before the first step
+  APComponent ap(1);  // anap = infinity before the first step
   ApToOhp red(ap);
   EXPECT_TRUE(red.h_trusted().empty());
 }
 
-TEST(Lemma3, ApToHSigmaOverRealApImplementation) {
-  // Full anonymous synchronous pipeline: AP implementation in the lock-step
-  // engine, Lemma 3 adapter sampled once per step, HΣ checker on the trace.
-  const std::size_t n = 5;
-  SyncConfig cfg;
-  cfg.ids = ids_anonymous(n);
-  cfg.crashes.resize(n);
-  cfg.crashes[3] = SyncCrashPlan{2, false};
-  cfg.crashes[4] = SyncCrashPlan{4, true};
-  cfg.seed = 3;
-  SyncSystem sys(std::move(cfg));
-  std::vector<APSyncProcess*> aps;
-  for (ProcIndex i = 0; i < n; ++i) {
-    auto ap = std::make_unique<APSyncProcess>();
+// Anonymous lock-step AP: APComponent(1) over BoundedTiming(1), so step s is
+// folded at tick s + 1 and a crash at tick s is a crash in step s.
+std::unique_ptr<System> lock_step_ap(std::vector<std::optional<CrashPlan>> crashes,
+                                     std::uint64_t seed, std::vector<APComponent*>& aps) {
+  SystemConfig cfg;
+  cfg.ids = ids_anonymous(crashes.size());
+  cfg.timing = std::make_unique<BoundedTiming>(1);
+  cfg.crashes = std::move(crashes);
+  cfg.seed = seed;
+  auto sys = std::make_unique<System>(std::move(cfg));
+  for (ProcIndex i = 0; i < sys->n(); ++i) {
+    auto ap = std::make_unique<APComponent>(1);
     aps.push_back(ap.get());
-    sys.set_process(i, std::move(ap));
+    sys->set_process(i, std::move(ap));
   }
-  std::vector<std::unique_ptr<ApToHSigma>> reds;
-  for (ProcIndex i = 0; i < n; ++i) reds.push_back(std::make_unique<ApToHSigma>(*aps[i]));
-  std::vector<Trajectory<HSigmaSnapshot>> trajs(n);
-  for (std::size_t step = 0; step < 12; ++step) {
-    sys.run_steps(1);
-    for (ProcIndex i = 0; i < n; ++i) {
-      if (sys.alive_in_step(i, step + 1)) {
-        trajs[i].record(static_cast<SimTime>(step + 1), reds[i]->snapshot());
-      }
+  sys->start();
+  return sys;
+}
+
+// Runs 12 lock steps, sampling every alive process's adapter after each fold,
+// and checks HΣ on the samples.
+CheckResult check_hsigma_per_step(System& sys, const std::vector<const HSigmaHandle*>& reds) {
+  std::vector<Trajectory<HSigmaSnapshot>> trajs(sys.n());
+  for (SimTime t = 1; t <= 12; ++t) {
+    sys.run_until(t);
+    for (ProcIndex i = 0; i < sys.n(); ++i) {
+      if (sys.is_alive_at(i, t)) trajs[i].record(t, reds[i]->snapshot());
     }
   }
   std::vector<const Trajectory<HSigmaSnapshot>*> ptrs;
   for (auto& t : trajs) ptrs.push_back(&t);
-  auto res = check_hsigma(GroundTruth::from(sys), ptrs);
+  return check_hsigma(GroundTruth::from(sys), ptrs);
+}
+
+TEST(Lemma3, ApToHSigmaOverRealApImplementation) {
+  // Full anonymous synchronous pipeline: AP implementation in lock step,
+  // Lemma 3 adapter sampled once per step, HΣ checker on the trace.
+  const std::size_t n = 5;
+  std::vector<std::optional<CrashPlan>> crashes(n);
+  crashes[3] = CrashPlan{2, false};
+  crashes[4] = CrashPlan{4, true};
+  std::vector<APComponent*> aps;
+  auto sys = lock_step_ap(std::move(crashes), 3, aps);
+  std::vector<std::unique_ptr<ApToHSigma>> reds;
+  std::vector<const HSigmaHandle*> handles;
+  for (ProcIndex i = 0; i < n; ++i) {
+    reds.push_back(std::make_unique<ApToHSigma>(*aps[i]));
+    handles.push_back(reds.back().get());
+  }
+  auto res = check_hsigma_per_step(*sys, handles);
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
@@ -253,35 +272,17 @@ TEST(ApToASigmaArrow, ComposedWithTheorem3SatisfiesHSigma) {
   // the full HΣ property checker over the composite — the checker stack
   // validating a reduction stack.
   const std::size_t n = 5;
-  SyncConfig cfg;
-  cfg.ids = ids_anonymous(n);
-  cfg.crashes = sync_crashes_last_k(n, 2, 2, 2, false);
-  cfg.seed = 6;
-  SyncSystem sys(std::move(cfg));
-  std::vector<APSyncProcess*> aps;
-  for (ProcIndex i = 0; i < n; ++i) {
-    auto ap = std::make_unique<APSyncProcess>();
-    aps.push_back(ap.get());
-    sys.set_process(i, std::move(ap));
-  }
+  std::vector<APComponent*> aps;
+  auto sys = lock_step_ap(crashes_last_k(n, 2, 2, 2, false), 6, aps);
   std::vector<std::unique_ptr<ApToASigma>> to_asigma;
   std::vector<std::unique_ptr<ASigmaToHSigma>> to_hsigma;
+  std::vector<const HSigmaHandle*> handles;
   for (ProcIndex i = 0; i < n; ++i) {
     to_asigma.push_back(std::make_unique<ApToASigma>(*aps[i]));
     to_hsigma.push_back(std::make_unique<ASigmaToHSigma>(*to_asigma[i]));
+    handles.push_back(to_hsigma.back().get());
   }
-  std::vector<Trajectory<HSigmaSnapshot>> trajs(n);
-  for (std::size_t step = 0; step < 12; ++step) {
-    sys.run_steps(1);
-    for (ProcIndex i = 0; i < n; ++i) {
-      if (sys.alive_in_step(i, step + 1)) {
-        trajs[i].record(static_cast<SimTime>(step + 1), to_hsigma[i]->snapshot());
-      }
-    }
-  }
-  std::vector<const Trajectory<HSigmaSnapshot>*> ptrs;
-  for (auto& t : trajs) ptrs.push_back(&t);
-  auto res = check_hsigma(GroundTruth::from(sys), ptrs);
+  auto res = check_hsigma_per_step(*sys, handles);
   EXPECT_TRUE(res.ok) << res.detail;
 }
 

@@ -334,6 +334,60 @@ TEST(RelChannel, VirtualTimeRunsAreReproducible) {
   EXPECT_EQ(run(), run());
 }
 
+// Scripted loss: frame 2 is lost once, so frames 3 and 4 are sacked at their
+// first ack and cum-acked only after frame 2's retransmission closes the
+// hole. Every RTT sample must time a round trip (plus at most the ack
+// delay), not that wait, and every frame must count as acked exactly once.
+TEST(RelChannel, SackedFrameTimesItsRoundTripAndCountsOnce) {
+  constexpr SimTime kDelay = 5;  // one way, both directions
+  RelConfig cfg;
+  cfg.enabled = true;
+  obs::MetricsRegistry reg;
+  ReliableChannel a(cfg, 1, 0, 11, 2, 0, &reg);
+  ReliableChannel b(cfg, 1, 1, 22, 2, 0, nullptr);
+
+  std::multimap<SimTime, std::pair<ProcIndex, std::vector<std::uint8_t>>> wires;
+  bool lost_once = false;
+  for (SimTime t = 0; t <= 1'000; ++t) {
+    const RelTime now = at(t);
+    if (t % 10 == 0 && t <= 30) {
+      const auto r = static_cast<Round>(t / 10 + 1);
+      auto f = a.wrap_data(1, OHPPolling::kPollType, frame_of(poll(r, 11), 0, 11), now);
+      if (r == 2 && !lost_once) {
+        lost_once = true;  // the first transmission of frame 2 vanishes
+      } else {
+        wires.emplace(t + kDelay, std::pair{ProcIndex{1}, std::move(f)});
+      }
+    }
+    while (!wires.empty() && wires.begin()->first <= t) {
+      auto [to, frame] = std::move(wires.begin()->second);
+      wires.erase(wires.begin());
+      (void)receive(to == 0 ? a : b, to == 0 ? 1 : 0, frame, now);
+    }
+    for (RelSend& s : a.tick(now)) wires.emplace(t + kDelay, std::pair{s.to, std::move(s.frame)});
+    for (RelSend& s : b.tick(now)) wires.emplace(t + kDelay, std::pair{s.to, std::move(s.frame)});
+  }
+
+  EXPECT_EQ(b.stats().delivered, 4u);
+  const RelStats sa = a.stats();
+  EXPECT_EQ(sa.retransmits, 1u);
+  EXPECT_EQ(sa.acked, sa.data_sent);
+  // Frames 1, 3 and 4 time the link; frame 2 was retransmitted (Karn).
+  const obs::Histogram* rtt = reg.find_histogram("rel_rtt_ms");
+  ASSERT_NE(rtt, nullptr);
+  EXPECT_EQ(rtt->count(), 3u);
+  // The round trip plus the ack delay bounds every sample: no bucket wholly
+  // above it holds one.
+  const std::int64_t ceiling = 2 * kDelay + cfg.ack_delay_ms;
+  for (std::size_t i = 1; i <= rtt->bounds().size(); ++i) {
+    if (rtt->bounds()[i - 1] < ceiling) continue;
+    EXPECT_EQ(rtt->bucket_count(i), 0u) << "a sample above " << rtt->bounds()[i - 1]
+                                        << " ms timed the wait for a retransmission";
+  }
+  EXPECT_GE(rtt->sum(), static_cast<std::int64_t>(rtt->count()) * 2 * kDelay);
+  EXPECT_LE(rtt->sum(), static_cast<std::int64_t>(rtt->count()) * ceiling);
+}
+
 // ------------------------------------------------- sim-side emulator
 
 // Inner interposer scripting pre-GST loss: every copy before `heal` drops

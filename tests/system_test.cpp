@@ -1,9 +1,11 @@
 // Tests of the event-driven system: broadcast semantics, timers, crash
-// injection (including crash-during-broadcast partial delivery).
+// injection (including crash-during-broadcast partial delivery), and the
+// lock-step rounds of the synchronous model.
 #include "sim/system.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "fd/impl/alive_ranker.h"
@@ -47,6 +49,63 @@ SystemConfig base_config(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) cfg.ids.push_back(i + 1);
   cfg.timing = std::make_unique<AsyncTiming>(1, 3);
   cfg.seed = 11;
+  return cfg;
+}
+
+// A lock-step process: a step is a broadcast followed by a unit step timer.
+// Over BoundedTiming(1), step s is broadcast at tick s and folded when the
+// timer fires at tick s + 1.
+struct StepMsg {
+  Id from;
+  SimTime step;
+};
+
+class LockStepEcho final : public Process {
+ public:
+  void on_start(Env& env) override { begin_step(env); }
+  void on_message(Env&, const Message& m) override {
+    if (const auto* b = m.as<StepMsg>()) pending_.push_back(*b);
+  }
+  void on_timer(Env& env, TimerId) override {
+    std::vector<Id> froms;
+    for (const StepMsg& b : pending_) {
+      EXPECT_EQ(b.step, step_);  // a fold sees this step's copies only
+      froms.push_back(b.from);
+    }
+    std::sort(froms.begin(), froms.end());
+    folds.push_back(froms);
+    pending_.clear();
+    ++step_;
+    begin_step(env);
+  }
+
+  std::vector<SimTime> sends;          // steps broadcast
+  std::vector<std::vector<Id>> folds;  // senders seen, per folded step
+
+ private:
+  void begin_step(Env& env) {
+    sends.push_back(step_);
+    env.broadcast(make_message("STEP", StepMsg{env.self_id(), step_}));
+    env.set_timer(1);
+  }
+
+  SimTime step_ = 0;
+  std::vector<StepMsg> pending_;
+};
+
+std::vector<LockStepEcho*> install_lock_step(System& sys) {
+  std::vector<LockStepEcho*> procs;
+  for (ProcIndex i = 0; i < sys.n(); ++i) {
+    auto p = std::make_unique<LockStepEcho>();
+    procs.push_back(p.get());
+    sys.set_process(i, std::move(p));
+  }
+  return procs;
+}
+
+SystemConfig lock_step_config(std::size_t n) {
+  SystemConfig cfg = base_config(n);
+  cfg.timing = std::make_unique<BoundedTiming>(1);
   return cfg;
 }
 
@@ -243,6 +302,34 @@ TEST(System, ValidatesConfiguration) {
   bad_crashes.timing = std::make_unique<AsyncTiming>(1, 1);
   bad_crashes.crashes = {std::nullopt};
   EXPECT_THROW(System{std::move(bad_crashes)}, std::invalid_argument);
+}
+
+TEST(System, LockStepFoldSeesItsStepFromEveryAliveSender) {
+  System sys(lock_step_config(3));
+  auto procs = install_lock_step(sys);
+  sys.start();
+  sys.run_until(4);  // folds steps 0..3
+  for (auto* p : procs) {
+    ASSERT_EQ(p->folds.size(), 4u);
+    for (const auto& froms : p->folds) EXPECT_EQ(froms, (std::vector<Id>{1, 2, 3}));
+  }
+}
+
+TEST(System, LockStepCrasherSendsThroughItsCrashStepAndFoldsNoMore) {
+  auto cfg = lock_step_config(3);
+  cfg.crashes = {std::nullopt, CrashPlan{1}, std::nullopt};
+  System sys(std::move(cfg));
+  auto procs = install_lock_step(sys);
+  sys.start();
+  sys.run_until(3);  // folds steps 0..2
+  // The crasher sent in steps 0 and 1, and folded step 0 only.
+  EXPECT_EQ(procs[1]->sends, (std::vector<SimTime>{0, 1}));
+  ASSERT_EQ(procs[1]->folds.size(), 1u);
+  // Survivors saw all 3 senders in steps 0 and 1, then 2.
+  ASSERT_EQ(procs[0]->folds.size(), 3u);
+  EXPECT_EQ(procs[0]->folds[0], (std::vector<Id>{1, 2, 3}));
+  EXPECT_EQ(procs[0]->folds[1], (std::vector<Id>{1, 2, 3}));
+  EXPECT_EQ(procs[0]->folds[2], (std::vector<Id>{1, 3}));
 }
 
 TEST(System, StartRequiresAllProcessesInstalled) {

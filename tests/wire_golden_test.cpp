@@ -50,9 +50,9 @@ std::map<std::string, Message> sample_messages() {
   std::map<std::string, Message> out;
   const auto put = [&](Message m) { out[m.type] = std::move(m); };
   put(make_message(AliveRanker::kMsgType, AliveMsg{300}));
-  put(make_message(APSyncProcess::kMsgType, ApAliveMsg{}));
+  put(make_message(APComponent::kMsgType, ApAliveMsg{}));
   put(make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{9, 12345}));
-  put(make_message(HSigmaSyncProcess::kMsgType, IdentMsg{130}));
+  put(make_message(HSigmaComponent::kMsgType, IdentMsg{130}));
   put(make_message(OHPPolling::kPollType, PollingMsg{17, 42}));
   put(make_message(OHPPolling::kReplyType, PollReplyMsg{3, 17, 42, 7}));
   put(make_message(kCoordType, CoordMsg{7, 4, -250, 1}));

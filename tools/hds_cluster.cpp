@@ -602,9 +602,12 @@ int run(const Options& o) {
     }
   }
   if (timed_out) verdict = "deadline exceeded";
-  if (failed_fast) {
+  // A node that exited nonzero is the cause, even when every node exited
+  // within one poll and no survivor was left to kill.
+  if (first_failure.has_value()) {
     verdict = "node " + std::to_string(first_failed_node) + " exited " +
-              std::to_string(exit_codes[first_failed_node]) + "; survivors killed";
+              std::to_string(exit_codes[first_failed_node]);
+    if (failed_fast) verdict += "; survivors killed";
   }
 
   // Drain the telemetry plane: final-flush datagrams may still be in

@@ -239,7 +239,7 @@ SweepResult run_sweep_point(const Options& o, std::size_t ell) {
   {
     hds::Fig7Params p;
     p.ids = ids;
-    p.crashes = hds::sync_crashes_last_k(o.n, o.t, /*at_step=*/10, /*stagger=*/2);
+    p.crashes = hds::crashes_last_k(o.n, o.t, /*at=*/10, /*stagger=*/2);
     p.steps = 30;
     p.seed = o.seed;
     p.metrics = &reg;
@@ -251,7 +251,7 @@ SweepResult run_sweep_point(const Options& o, std::size_t ell) {
     mc.watch_from = static_cast<hds::SimTime>(p.steps);
     mc.metrics = &reg;
     hds::obs::OnlineMonitor monitor(mc);
-    p.monitor = &monitor;
+    p.observers = {&monitor};
     const hds::Fig7Result r = hds::run_fig7(p);
     out.fig7_qos = hds::obs::qos_json(r.qos);
     out.metrics["fig7_quorum_margin_min"] = static_cast<double>(r.qos.quorum_margin_min);
