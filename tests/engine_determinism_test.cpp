@@ -18,6 +18,7 @@
 #include "common/action.h"
 #include "common/rng.h"
 #include "consensus/harness.h"
+#include "consensus/messages.h"
 #include "exp/runner.h"
 #include "fd/impl/alive_ranker.h"
 #include "net/codec.h"
@@ -547,6 +548,71 @@ TEST(GoldenTrace, ChaosCasesMatchCommittedDigests) {
       "fig8 trace=9c47f0b8abd2ba30 dropped=0 tags= crashes=1 lost=1978",
       "fig9 trace=714f5af69a394192 dropped=0 tags= crashes=2 lost=0",
       "smr trace=52a4fc4cfe3b87e0 dropped=0 tags= crashes=1 lost=2207",
+  };
+  EXPECT_EQ(got, want);
+}
+
+TEST(GoldenTrace, Fig9SweepMatchesCommittedDigest) {
+  // Fig. 9's synchronous full stack (OHPPolling + HSigmaComponent, δ = 3)
+  // over the cells of hds_bench's consensus-sweep: n = 12, ℓ distinct
+  // identifiers, the last k processes crashing from tick 15 on, 9 ticks
+  // apart. Two seeds per cell, one line each: the last decision instant, the
+  // decided value, the highest round and sub-round, and the COORD, PH1Q and
+  // PH2Q broadcast counts. Any change to which quorum the Phase 1/2 waits
+  // pick, or when, moves a line.
+  constexpr std::size_t kN = 12;
+  std::vector<std::string> got;
+  for (const std::size_t ell : {1u, 3u, 6u, 12u}) {
+    for (const std::size_t k : {0u, 6u, 10u}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        Fig9FullStackParams p;
+        p.ids = ids_homonymous(kN, ell, seed);
+        p.crashes = k > 0 ? crashes_last_k(kN, k, 15, 9) : crashes_none(kN);
+        p.seed = seed;
+        p.proposals = distinct_proposals(kN);
+        p.delta = 3;
+        p.max_time = 20'000;
+        const ConsensusRunResult r = run_fig9_full_stack(p);
+        EXPECT_TRUE(r.all_correct_decided) << "ell=" << ell << " k=" << k << " seed=" << seed;
+        EXPECT_TRUE(r.check) << r.check.detail;
+        const auto count = [&r](const char* type) {
+          const auto it = r.broadcasts_by_type.find(type);
+          return it == r.broadcasts_by_type.end() ? 0 : it->second;
+        };
+        std::ostringstream line;
+        line << "ell=" << ell << " k=" << k << " seed=" << seed << " at=" << r.last_decision_time
+             << " v=" << r.decisions[0].value << " r=" << r.max_round << " sr=" << r.max_sub_round
+             << " COORD=" << count(kCoordType) << " PH1Q=" << count(kPh1QType)
+             << " PH2Q=" << count(kPh2QType);
+        got.push_back(line.str());
+      }
+    }
+  }
+  const std::vector<std::string> want = {
+      "ell=1 k=0 seed=1 at=19 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=24",
+      "ell=1 k=0 seed=2 at=19 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=24",
+      "ell=1 k=6 seed=1 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=1 k=6 seed=2 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=1 k=10 seed=1 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=1 k=10 seed=2 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=3 k=0 seed=1 at=20 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=24",
+      "ell=3 k=0 seed=2 at=20 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=24",
+      "ell=3 k=6 seed=1 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=3 k=6 seed=2 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=3 k=10 seed=1 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=3 k=10 seed=2 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=6 k=0 seed=1 at=20 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=24",
+      "ell=6 k=0 seed=2 at=39 v=100 r=4 sr=2 COORD=48 PH1Q=60 PH2Q=48",
+      "ell=6 k=6 seed=1 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=6 k=6 seed=2 at=92 v=100 r=3 sr=2 COORD=35 PH1Q=42 PH2Q=40",
+      "ell=6 k=10 seed=1 at=23 v=100 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=6 k=10 seed=2 at=91 v=100 r=3 sr=2 COORD=35 PH1Q=40 PH2Q=38",
+      "ell=12 k=0 seed=1 at=19 v=109 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=24",
+      "ell=12 k=0 seed=2 at=40 v=100 r=4 sr=2 COORD=48 PH1Q=60 PH2Q=48",
+      "ell=12 k=6 seed=1 at=23 v=109 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=12 k=6 seed=2 at=43 v=100 r=3 sr=2 COORD=35 PH1Q=56 PH2Q=52",
+      "ell=12 k=10 seed=1 at=23 v=109 r=2 sr=2 COORD=24 PH1Q=36 PH2Q=34",
+      "ell=12 k=10 seed=2 at=43 v=100 r=3 sr=2 COORD=35 PH1Q=56 PH2Q=52",
   };
   EXPECT_EQ(got, want);
 }
