@@ -1,22 +1,33 @@
 #include "common/label.h"
 
-#include <sstream>
-
 namespace hds {
 
-Label Label::of_multiset(const Multiset<Id>& m) { return Label("ms:" + m.to_string()); }
+namespace {
+
+// Appends `v` to the "{v1,v2,...}" list being built in `out`, whose opening
+// brace is already there. The finished list is the text `os << Multiset<Id>`
+// prints, built without a stream.
+void append_id(std::string& out, Id v) {
+  if (out.back() != '{') out += ',';
+  out += std::to_string(v);
+}
+
+}  // namespace
+
+Label Label::of_multiset(const Multiset<Id>& m) {
+  std::string repr = "ms:{";
+  for (const auto& [v, count] : m.counts()) {
+    for (std::size_t k = 0; k < count; ++k) append_id(repr, v);
+  }
+  repr += '}';
+  return Label(std::move(repr));
+}
 
 Label Label::of_set(const std::set<Id>& s) {
-  std::ostringstream os;
-  os << "set:{";
-  bool first = true;
-  for (Id v : s) {
-    if (!first) os << ',';
-    os << v;
-    first = false;
-  }
-  os << '}';
-  return Label(os.str());
+  std::string repr = "set:{";
+  for (const Id v : s) append_id(repr, v);
+  repr += '}';
+  return Label(std::move(repr));
 }
 
 Label Label::of_count(std::size_t y) { return Label("cnt:" + std::to_string(y)); }

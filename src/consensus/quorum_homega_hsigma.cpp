@@ -98,13 +98,13 @@ void QuorumConsensus::on_message(Env& env, const Message& m) {
   } else if (m.type == kPh1QType) {
     if (const auto* b = m.as<Ph1QMsg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
-      bufs_[b->r].ph1.push_back(*b);
+      bufs_[b->r].ph1.add(b->id, b->sr, b->labels, b->est);
       if (b->r == r_) max_sr_seen_ = std::max(max_sr_seen_, b->sr);
     }
   } else if (m.type == kPh2QType) {
     if (const auto* b = m.as<Ph2QMsg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
-      bufs_[b->r].ph2.push_back(*b);
+      bufs_[b->r].ph2.add(b->id, b->sr, b->labels, b->est2);
       if (b->r == r_) max_sr_seen_ = std::max(max_sr_seen_, b->sr);
     }
   } else if (m.type == kDecideType) {
@@ -127,68 +127,35 @@ void QuorumConsensus::decide(Env& env, Value v) {
 }
 
 void QuorumConsensus::advance(Env& env) {
-  while (phase_ != Phase::kDone && try_advance_once(env)) {
+  HSigmaRead hs;
+  while (phase_ != Phase::kDone && try_advance_once(env, hs)) {
   }
 }
 
-void QuorumConsensus::enter_ph1(Env& env) {
+const HSigmaSnapshot& QuorumConsensus::hsigma(HSigmaRead& read) const {
+  if (!read) read = fd2_->snapshot();
+  return *read;
+}
+
+void QuorumConsensus::enter_ph1(Env& env, HSigmaRead& hs) {
   // Lines 20-21.
   sr_ = 1;
-  current_labels_ = fd2_->snapshot().labels;
+  current_labels_ = hsigma(hs).labels;
   set_phase(env, Phase::kPh1);
   env.broadcast(make_message(
       kPh1QType, Ph1QMsg{env.self_id(), r_, sr_, current_labels_, est1_, cfg_.instance}));
 }
 
-void QuorumConsensus::enter_ph2(Env& env) {
+void QuorumConsensus::enter_ph2(Env& env, HSigmaRead& hs) {
   // Lines 40-41.
   sr_ = 1;
-  current_labels_ = fd2_->snapshot().labels;
+  current_labels_ = hsigma(hs).labels;
   set_phase(env, Phase::kPh2);
   env.broadcast(make_message(
       kPh2QType, Ph2QMsg{env.self_id(), r_, sr_, current_labels_, est2_, cfg_.instance}));
 }
 
-template <typename M>
-QuorumConsensus::QuorumScan<M> QuorumConsensus::scan_quorum(const std::vector<M>& msgs,
-                                                            const HSigmaSnapshot& snap) const {
-  // Group this round's messages by sub-round.
-  std::map<std::int64_t, std::vector<const M*>> by_sr;
-  for (const M& m : msgs) {
-    if (m.r == r_) by_sr[m.sr].push_back(&m);
-  }
-  QuorumScan<M> out;
-  for (const auto& [x, mset] : snap.quora) {
-    if (mset.empty()) continue;  // a safe HΣ detector never emits an empty quorum
-    for (const auto& [sr, group] : by_sr) {
-      (void)sr;
-      std::map<Id, std::vector<const M*>> by_id;
-      for (const M* m : group) {
-        if (m->labels.contains(x)) by_id[m->id].push_back(m);
-      }
-      bool ok = true;
-      for (const auto& [i, c] : mset.counts()) {
-        auto it = by_id.find(i);
-        if (it == by_id.end() || it->second.size() < c) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      // M: the first mult(i) matching messages per identifier — any exact
-      // realization satisfies the pseudocode's existential condition.
-      for (const auto& [i, c] : mset.counts()) {
-        const auto& cand = by_id[i];
-        out.quorum.insert(out.quorum.end(), cand.begin(), cand.begin() + static_cast<long>(c));
-      }
-      out.found = true;
-      return out;
-    }
-  }
-  return out;
-}
-
-bool QuorumConsensus::try_advance_once(Env& env) {
+bool QuorumConsensus::try_advance_once(Env& env, HSigmaRead& hs) {
   RoundBuf& buf = bufs_[r_];
   const Id self = env.self_id();
 
@@ -226,35 +193,31 @@ bool QuorumConsensus::try_advance_once(Env& env) {
       if (!is_leader && buf.ph0.empty()) return false;
       if (!buf.ph0.empty()) est1_ = buf.ph0.front();
       env.broadcast(make_message(kPh0Type, Ph0Msg{r_, est1_, cfg_.instance}));
-      enter_ph1(env);
+      enter_ph1(env, hs);
       return true;
     }
 
     case Phase::kPh1: {
       // Lines 23-24: any PH2 of this round short-circuits the phase.
-      if (!buf.ph2.empty()) {
-        est2_ = buf.ph2.front().est2;
-        enter_ph2(env);
+      if (!buf.ph2.est.empty()) {
+        est2_ = buf.ph2.est.front();
+        enter_ph2(env, hs);
         return true;
       }
-      const HSigmaSnapshot snap = fd2_->snapshot();
+      const HSigmaSnapshot& snap = hsigma(hs);
       // Lines 25-31: quorum detection.
-      auto scan = scan_quorum(buf.ph1, snap);
-      if (scan.found) {
+      if (const auto m = buf.ph1.index.find(snap.quora)) {
+        const Value first = buf.ph1.est[m->positions.front()];
         bool same = true;
-        for (const Ph1QMsg* m : scan.quorum) {
-          if (m->est != scan.quorum.front()->est) same = false;
+        for (const std::size_t pos : m->positions) {
+          if (buf.ph1.est[pos] != first) same = false;
         }
-        est2_ = same ? MaybeValue{scan.quorum.front()->est} : MaybeValue{};
-        enter_ph2(env);
+        est2_ = same ? MaybeValue{first} : MaybeValue{};
+        enter_ph2(env, hs);
         return true;
       }
       // Lines 32-36: label change or higher sub-round observed.
-      bool higher = false;
-      for (const Ph1QMsg& m : buf.ph1) {
-        if (m.r == r_ && m.sr > sr_) higher = true;
-      }
-      if (current_labels_ != snap.labels || higher) {
+      if (current_labels_ != snap.labels || buf.ph1.index.max_sub_round() > sr_) {
         bump_sub_round();
         current_labels_ = snap.labels;
         env.broadcast(make_message(
@@ -272,12 +235,11 @@ bool QuorumConsensus::try_advance_once(Env& env) {
         enter_round(env, r_ + 1);
         return true;
       }
-      const HSigmaSnapshot snap = fd2_->snapshot();
+      const HSigmaSnapshot& snap = hsigma(hs);
       // Lines 45-54.
-      auto scan = scan_quorum(buf.ph2, snap);
-      if (scan.found) {
+      if (const auto m = buf.ph2.index.find(snap.quora)) {
         std::set<MaybeValue> rec;
-        for (const Ph2QMsg* m : scan.quorum) rec.insert(m->est2);
+        for (const std::size_t pos : m->positions) rec.insert(buf.ph2.est[pos]);
         MaybeValue non_bottom;
         for (const MaybeValue& e : rec) {
           if (e) non_bottom = non_bottom ? std::min(*non_bottom, *e) : *e;
@@ -292,11 +254,7 @@ bool QuorumConsensus::try_advance_once(Env& env) {
         return true;
       }
       // Lines 55-59.
-      bool higher = false;
-      for (const Ph2QMsg& m : buf.ph2) {
-        if (m.r == r_ && m.sr > sr_) higher = true;
-      }
-      if (current_labels_ != snap.labels || higher) {
+      if (current_labels_ != snap.labels || buf.ph2.index.max_sub_round() > sr_) {
         bump_sub_round();
         current_labels_ = snap.labels;
         env.broadcast(make_message(

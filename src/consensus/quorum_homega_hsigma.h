@@ -11,7 +11,9 @@
 // higher sub-round is observed, it bumps sr and rebroadcasts with the fresh
 // labels (sub-rounds let quorums form after detector outputs settle).
 // Phase 1 may be short-circuited by any PH2 of the round (adopting its
-// estimate); Phase 2 by any COORD of the next round.
+// estimate); Phase 2 by any COORD of the next round. Each round's PH1Q and
+// PH2Q arrivals are indexed by (label, sub-round) as they arrive, and the
+// quorum waits test h_quora against that index (consensus/quorum_index.h).
 #pragma once
 
 #include <array>
@@ -22,6 +24,7 @@
 
 #include "common/trajectory.h"
 #include "consensus/messages.h"
+#include "consensus/quorum_index.h"
 #include "fd/interfaces.h"
 #include "obs/metrics.h"
 #include "sim/process.h"
@@ -70,32 +73,39 @@ class QuorumConsensus final : public Process {
  private:
   enum class Phase { kCoord, kPh0, kPh1, kPh2, kDone };
 
-  template <typename M>
-  struct QuorumScan {
-    std::vector<const M*> quorum;  // the chosen message set M
-    bool found = false;
+  // One round's PH1Q or PH2Q traffic: the arrival index and each arrival's
+  // estimate, by position.
+  template <typename E>
+  struct QuorumBuf {
+    QuorumIndex index;
+    std::vector<E> est;
+    void add(Id id, std::int64_t sr, const std::set<Label>& labels, E e) {
+      index.add(id, sr, labels);
+      est.push_back(e);
+    }
   };
 
   struct RoundBuf {
     std::vector<CoordMsg> coord;
     std::vector<Value> ph0;
-    std::vector<Ph1QMsg> ph1;
-    std::vector<Ph2QMsg> ph2;
+    QuorumBuf<Value> ph1;
+    QuorumBuf<MaybeValue> ph2;
   };
+
+  // HΣ's output, read at most once per callback so that every wait one step
+  // re-tests sees the same detector output: advance() owns it and the phase
+  // code fills it on first use.
+  using HSigmaRead = std::optional<HSigmaSnapshot>;
+  const HSigmaSnapshot& hsigma(HSigmaRead& read) const;
 
   void enter_round(Env& env, Round r);
   void advance(Env& env);
-  bool try_advance_once(Env& env);
+  bool try_advance_once(Env& env, HSigmaRead& hs);
   void decide(Env& env, Value v);
-  void enter_ph1(Env& env);
-  void enter_ph2(Env& env);
+  void enter_ph1(Env& env, HSigmaRead& hs);
+  void enter_ph2(Env& env, HSigmaRead& hs);
   void set_phase(Env& env, Phase next);
   void bump_sub_round();
-
-  // Lines 25-28 / 45-48: find (x, mset) in h_quora and a sub-round sr such
-  // that the messages of round r_ at sr carrying x realize mset exactly.
-  template <typename M>
-  QuorumScan<M> scan_quorum(const std::vector<M>& msgs, const HSigmaSnapshot& snap) const;
 
   QuorumConsensusConfig cfg_;
   const HOmegaHandle* fd1_ = nullptr;    // homonymous mode

@@ -16,13 +16,16 @@ void HSigmaCore::on_step_idents(SimTime t, const Multiset<Id>& mset) {
   if (mset.empty()) return;  // no alive sender observed; nothing to certify
   const Label label = Label::of_multiset(mset);
   const bool new_label = state_.labels.insert(label).second;
-  const bool new_quorum = state_.quora.emplace(label, mset).second;  // (mset, mset) is stable
+  const bool new_quorum = state_.quora.try_emplace(label, mset).second;  // (mset, mset) is stable
   if (new_quorum) {
     obs::inc(m_quora_stored_);
     obs::observe(m_quorum_size_, static_cast<std::int64_t>(mset.size()));
   }
+  // h_labels and h_quora only grow, so a step that adds neither leaves the
+  // output, and with it the trace, as it was.
+  if (!new_label && !new_quorum) return;
   trace_.record(t, state_);
-  if ((new_label || new_quorum) && listener_ != nullptr) listener_->on_hsigma_change(t, state_);
+  if (listener_ != nullptr) listener_->on_hsigma_change(t, state_);
 }
 
 HSigmaComponent::HSigmaComponent(SimTime step_len) : step_len_(step_len) {}

@@ -1,15 +1,20 @@
 // Protocol-level unit tests of the Fig. 9 state machine: quorum scanning
 // with homonym multiplicities, sub-round bumping, the PH2 short-circuit,
-// the COORD(r+1) release, and the AAS[AΩ, HΣ] variant.
+// the COORD(r+1) release, and the AAS[AΩ, HΣ] variant. Then QuorumIndex on
+// its own, against the rebuilding reference scan.
 #include "consensus/quorum_homega_hsigma.h"
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "consensus/quorum_index.h"
+#include "support/quorum_scan_ref.h"
 #include "support/script_env.h"
 
 namespace hds {
 namespace {
 
+using testing::ref_scan_quorum;
 using testing::ScriptAOmega;
 using testing::ScriptEnv;
 using testing::ScriptHOmega;
@@ -241,6 +246,66 @@ TEST_F(Fig9Fixture, FutureRoundQuorumTrafficIsBuffered) {
   EXPECT_EQ(ph2->est2, MaybeValue{9});
 }
 
+TEST_F(Fig9Fixture, QuorumAtAnOlderSubRoundReleasesPhase1) {
+  auto c = make();
+  to_phase1(c, 42);
+  fd2.snap.labels.insert(kLy);
+  c.on_timer(env, env.timers.front().id);
+  ASSERT_EQ(c.current_sub_round(), 2);
+  // Only sub-round 1 ever holds {1, 2}; it still realizes the quorum.
+  deliver_ph1q(c, 1, 1, 1, {kLx}, 42);
+  deliver_ph1q(c, 2, 1, 2, {kLx}, 77);
+  EXPECT_EQ(env.count(kPh2QType), 0u);
+  deliver_ph1q(c, 2, 1, 1, {kLx}, 42);
+  const auto* ph2 = env.last_body<Ph2QMsg>(kPh2QType);
+  ASSERT_NE(ph2, nullptr);
+  EXPECT_EQ(ph2->est2, MaybeValue{42});
+}
+
+TEST_F(Fig9Fixture, SenderOutsideTheQuorumIsLeftOutOfM) {
+  auto c = make();
+  to_phase1(c, 42);
+  deliver_ph1q(c, 1, 1, 1, {kLx}, 42);
+  deliver_ph1q(c, 3, 1, 1, {kLx}, 77);  // carries x, but 3 is not in {1, 2}
+  EXPECT_EQ(env.count(kPh2QType), 0u);
+  deliver_ph1q(c, 2, 1, 1, {kLx}, 42);
+  const auto* ph2 = env.last_body<Ph2QMsg>(kPh2QType);
+  ASSERT_NE(ph2, nullptr);
+  EXPECT_EQ(ph2->est2, MaybeValue{42});  // M = {1, 2}: unanimous
+}
+
+TEST_F(Fig9Fixture, LabelOrderPicksAmongRealizedQuora) {
+  // (x, {1, 2}) with mixed estimates and (y, {2}) with one estimate become
+  // realized by the same arrival; x comes first in Label order.
+  fd2.snap.quora.emplace(kLy, Multiset<Id>{2});
+  auto c = make();
+  to_phase1(c, 42);
+  deliver_ph1q(c, 1, 1, 1, {kLx}, 42);
+  EXPECT_EQ(env.count(kPh2QType), 0u);
+  deliver_ph1q(c, 2, 1, 1, {kLx, kLy}, 77);
+  const auto* ph2 = env.last_body<Ph2QMsg>(kPh2QType);
+  ASSERT_NE(ph2, nullptr);
+  EXPECT_EQ(ph2->est2, MaybeValue{});  // x's M = {42, 77}, not y's {77}
+}
+
+TEST_F(Fig9Fixture, GrownQuoraAreFoundOnTheGuardTimer) {
+  fd2.snap.quora.clear();
+  fd2.snap.quora.emplace(kLx, Multiset<Id>{1, 2, 3});
+  auto c = make();
+  to_phase1(c, 42);
+  deliver_ph1q(c, 1, 1, 1, {kLx, kLy}, 42);
+  deliver_ph1q(c, 2, 1, 1, {kLx, kLy}, 42);
+  c.on_timer(env, env.timers.front().id);
+  EXPECT_EQ(env.count(kPh2QType), 0u);
+  // HΣ certifies (y, {1, 2}); no message arrives, the next poll finds it.
+  fd2.snap.quora.emplace(kLy, Multiset<Id>{1, 2});
+  c.on_timer(env, env.timers.front().id);
+  const auto* ph2 = env.last_body<Ph2QMsg>(kPh2QType);
+  ASSERT_NE(ph2, nullptr);
+  EXPECT_EQ(ph2->est2, MaybeValue{42});
+  EXPECT_EQ(env.count(kPh1QType), 1u);  // found without a sub-round bump
+}
+
 TEST_F(Fig9Fixture, DecideRelayedExactlyOnce) {
   auto c = make();
   c.on_start(env);
@@ -248,6 +313,112 @@ TEST_F(Fig9Fixture, DecideRelayedExactlyOnce) {
   c.on_message(env, make_message(kDecideType, DecideMsg{5}));
   EXPECT_EQ(env.count(kDecideType), 1u);
   EXPECT_TRUE(c.decision().decided);
+}
+
+// ------------------------------------------------------------- QuorumIndex
+
+TEST(QuorumIndex, IdentifierNeededTwiceTakesItsFirstTwoArrivals) {
+  const std::map<Label, Multiset<Id>> quora{{kLx, Multiset<Id>{1, 1, 2}}};
+  QuorumIndex idx;
+  idx.add(1, 1, {kLx});  // position 0
+  idx.add(2, 1, {kLx});  // 1
+  EXPECT_FALSE(idx.find(quora));
+  idx.add(1, 1, {kLy});  // 2: carries y only
+  EXPECT_FALSE(idx.find(quora));
+  idx.add(1, 1, {kLx});  // 3
+  idx.add(1, 1, {kLx});  // 4: a third instance, not needed
+  const auto m = idx.find(quora);
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->x, kLx);
+  EXPECT_EQ(m->sr, 1);
+  EXPECT_EQ(m->positions, (std::vector<std::size_t>{0, 3, 1}));
+}
+
+TEST(QuorumIndex, LabelOrderComesBeforeSubRoundOrder) {
+  const std::map<Label, Multiset<Id>> quora{{kLx, Multiset<Id>{1}}, {kLy, Multiset<Id>{1}}};
+  QuorumIndex idx;
+  idx.add(1, 1, {kLy});
+  idx.add(1, 3, {kLx});
+  idx.add(1, 2, {kLx});
+  const auto m = idx.find(quora);
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->x, kLx);
+  EXPECT_EQ(m->sr, 2);  // the lowest sub-round realizing x, not the first arrival
+  EXPECT_EQ(m->positions, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(idx.size(), 3u);
+  EXPECT_EQ(idx.max_sub_round(), 3);
+}
+
+TEST(QuorumIndex, EmptyQuorumIsNeverRealized) {
+  // A broken detector's (y, {}) under a label the traffic carries: M would
+  // be empty, and Phase 1 reads its first estimate.
+  QuorumIndex idx;
+  idx.add(1, 1, {kLy});
+  EXPECT_FALSE(idx.find({{kLy, Multiset<Id>{}}}));
+  const auto m = idx.find({{kLx, Multiset<Id>{}}, {kLy, Multiset<Id>{1}}});
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->x, kLy);
+}
+
+// The index against the rebuilding reference (support/quorum_scan_ref.h)
+// over seeded random traffic: identifiers 1-4, so senders are homonyms and
+// quora need multiplicities; sub-rounds 1-4; random, possibly empty, subsets
+// of four labels; and h_quora growing between arrivals, now and then by an
+// empty multiset, which neither may take as realized. After every arrival
+// and every growth both must agree on whether a quorum is realized, on the
+// pair (x, sr), on M's estimates and on M itself.
+TEST(QuorumIndex, AgreesWithRebuildingReference) {
+  const std::vector<Label> pool = {kLx, kLy, Label::of_text("z"), Label::of_text("w")};
+  std::size_t realized = 0;
+  std::size_t unrealized = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    std::vector<Ph1QMsg> msgs;
+    QuorumIndex idx;
+    std::map<Label, Multiset<Id>> quora;
+    const auto check = [&] {
+      const auto ref = ref_scan_quorum(msgs, 1, quora);
+      const auto got = idx.find(quora);
+      ASSERT_EQ(got.has_value(), ref.found) << "seed " << seed << ", " << msgs.size() << " msgs";
+      if (!ref.found) {
+        ++unrealized;
+        return;
+      }
+      ++realized;
+      EXPECT_EQ(got->x, ref.x) << "seed " << seed;
+      EXPECT_EQ(got->sr, ref.sr) << "seed " << seed;
+      Multiset<Value> want_est;
+      std::vector<std::size_t> want_pos;
+      for (const Ph1QMsg* m : ref.quorum) {
+        want_est.insert(m->est);
+        want_pos.push_back(static_cast<std::size_t>(m - msgs.data()));
+      }
+      Multiset<Value> got_est;
+      for (const std::size_t pos : got->positions) got_est.insert(msgs[pos].est);
+      EXPECT_EQ(got_est, want_est) << "seed " << seed;
+      EXPECT_EQ(got->positions, want_pos) << "seed " << seed;
+    };
+    for (int step = 0; step < 30; ++step) {
+      if (rng.chance(0.2)) {
+        const Label& x = pool[rng.index(pool.size())];
+        Multiset<Id> mset;
+        for (std::int64_t k = rng.uniform(0, 3); k > 0; --k) {
+          mset.insert(static_cast<Id>(rng.uniform(1, 4)));
+        }
+        if (quora.try_emplace(x, mset).second) check();
+      }
+      std::set<Label> labels;
+      for (const Label& x : pool) {
+        if (rng.chance(0.5)) labels.insert(x);
+      }
+      msgs.push_back(Ph1QMsg{static_cast<Id>(rng.uniform(1, 4)), 1, rng.uniform(1, 4), labels,
+                             rng.uniform(1, 3)});
+      idx.add(msgs.back().id, msgs.back().sr, msgs.back().labels);
+      check();
+    }
+  }
+  EXPECT_GT(realized, 1000u);
+  EXPECT_GT(unrealized, 1000u);
 }
 
 }  // namespace
