@@ -1,15 +1,9 @@
-// Shared helpers for the per-figure benchmark binaries.
-//
-// Paper-shape reporting convention: every benchmark sets google-benchmark
-// counters carrying the *simulated* quantities the paper reasons about
-// (stabilization time, rounds to decision, sub-rounds, message counts);
-// wall time measures the simulator cost itself. EXPERIMENTS.md maps each
-// counter series back to the paper's qualitative claims.
+// Shared helpers for the benchmark binaries.
 //
 // Observability hook: every bench binary is built with HDS_BENCH_MAIN(),
 // which consumes `--metrics-json=PATH` before google-benchmark parses the
 // command line. When the flag is present, metrics_sink() returns a live
-// registry that the benchmarks thread into their harness params, and the
+// registry that a benchmark can thread into its harness params, and the
 // accumulated snapshot is written to PATH at exit. Without the flag,
 // metrics_sink() is null and the instruments cost nothing.
 #pragma once

@@ -14,8 +14,10 @@
 //   ./build/examples/hds_explore --list
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "consensus/harness.h"
@@ -55,40 +57,38 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, Cli& cli) {
+  using Set = std::function<void(const std::string&)>;
+  const std::map<std::string, Set> flags = {
+      {"--stack", [&](const std::string& v) { cli.stack = v; }},
+      {"--n", [&](const std::string& v) { cli.n = std::stoul(v); }},
+      {"--distinct", [&](const std::string& v) { cli.distinct = std::stoul(v); }},
+      {"--crashes", [&](const std::string& v) { cli.crashes = std::stoul(v); }},
+      {"--crash-at", [&](const std::string& v) { cli.crash_at = std::stoll(v); }},
+      {"--stabilize", [&](const std::string& v) { cli.stabilize = std::stoll(v); }},
+      {"--gst", [&](const std::string& v) { cli.gst = std::stoll(v); }},
+      {"--delta", [&](const std::string& v) { cli.delta = std::stoll(v); }},
+      {"--loss", [&](const std::string& v) { cli.loss = std::stod(v); }},
+      {"--seed", [&](const std::string& v) { cli.seed = std::stoull(v); }},
+      {"--runs", [&](const std::string& v) { cli.runs = std::stoi(v); }},
+      {"--alpha", [&](const std::string& v) { cli.alpha = std::stoul(v); }},
+      {"--trace", [&](const std::string& v) { cli.trace = std::stoul(v); }},
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    const std::string a = argv[i];
     if (a == "--list" || a == "--help") {
       usage();
       std::exit(0);
-    } else if (a == "--stack") {
-      cli.stack = next();
-    } else if (a == "--n") {
-      cli.n = std::strtoul(next(), nullptr, 10);
-    } else if (a == "--distinct") {
-      cli.distinct = std::strtoul(next(), nullptr, 10);
-    } else if (a == "--crashes") {
-      cli.crashes = std::strtoul(next(), nullptr, 10);
-    } else if (a == "--crash-at") {
-      cli.crash_at = std::strtol(next(), nullptr, 10);
-    } else if (a == "--stabilize") {
-      cli.stabilize = std::strtol(next(), nullptr, 10);
-    } else if (a == "--gst") {
-      cli.gst = std::strtol(next(), nullptr, 10);
-    } else if (a == "--delta") {
-      cli.delta = std::strtol(next(), nullptr, 10);
-    } else if (a == "--loss") {
-      cli.loss = std::strtod(next(), nullptr);
-    } else if (a == "--seed") {
-      cli.seed = std::strtoull(next(), nullptr, 10);
-    } else if (a == "--runs") {
-      cli.runs = std::atoi(next());
-    } else if (a == "--alpha") {
-      cli.alpha = std::strtoul(next(), nullptr, 10);
-    } else if (a == "--trace") {
-      cli.trace = std::strtoul(next(), nullptr, 10);
-    } else {
+    }
+    const auto it = flags.find(a);
+    if (it == flags.end()) {
       std::fprintf(stderr, "unknown flag %s\n", a.c_str());
+      return false;
+    }
+    try {
+      if (i + 1 >= argc) throw std::invalid_argument(a);
+      it->second(argv[++i]);
+    } catch (const std::logic_error&) {  // missing, or std::stoul and friends: not a number
+      std::fprintf(stderr, "bad value for %s\n", a.c_str());
       return false;
     }
   }

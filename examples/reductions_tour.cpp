@@ -105,7 +105,7 @@ int main() {
               ohp_u.handle(0).h_trusted().to_string().c_str(), set_down.trusted_set().size());
 
   std::printf("\nThe communication-bearing arrows (Fig. 2, Fig. 4) are exercised with\n"
-              "full property checks in tests/reductions_test.cpp and benchmarked in\n"
-              "bench_fig12_sigma_to_hsigma / bench_fig4_hsigma_to_sigma.\n");
+              "full property checks in tests/reductions_test.cpp; their measured series\n"
+              "(f2-no-membership, f4-n, f4-crashes) are in docs/paper_series.md.\n");
   return 0;
 }

@@ -23,10 +23,13 @@
 // Outputs: a JSON document (schema hds-qos-report-v1), a Markdown summary
 // mapping EXPERIMENTS.md claims to measured QoS numbers, and one metrics
 // snapshot per sweep point.
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,6 +91,28 @@ std::vector<std::size_t> parse_ells(const std::string& csv) {
 }
 
 bool parse_args(int argc, char** argv, Options& o) {
+  using Set = std::function<void(const std::string&)>;
+  const Set jobs = [&](const std::string& v) {
+    o.jobs = std::stoul(v);
+    if (o.jobs == 0) o.jobs = hds::exp::default_jobs();
+  };
+  const std::map<std::string, Set> flags = {
+      {"--stack", [&](const std::string& v) { o.stack = v; }},
+      {"--n", [&](const std::string& v) { o.n = std::stoul(v); }},
+      {"--t", [&](const std::string& v) { o.t = std::stoul(v); }},
+      {"--delta", [&](const std::string& v) { o.delta = std::stoll(v); }},
+      {"--seed", [&](const std::string& v) { o.seed = std::stoull(v); }},
+      {"--ell", [&](const std::string& v) { o.ells = parse_ells(v); }},
+      {"--out-dir", [&](const std::string& v) { o.out_dir = v; }},
+      {"--json", [&](const std::string& v) { o.json_path = v; }},
+      {"--md", [&](const std::string& v) { o.md_path = v; }},
+      {"--baseline", [&](const std::string& v) { o.baseline = v; }},
+      {"--tolerance", [&](const std::string& v) { o.tolerance = std::stod(v); }},
+      {"-j", jobs},
+      {"--jobs", jobs},
+      {"--shards",
+       [&](const std::string& v) { o.shards = std::max<std::size_t>(std::stoul(v), 1); }},
+  };
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string flag = args[i];
@@ -96,45 +121,25 @@ bool parse_args(int argc, char** argv, Options& o) {
       val = flag.substr(eq + 1);
       flag = flag.substr(0, eq);
     }
-    const auto need = [&]() -> std::string& {
-      if (val.empty() && i + 1 < args.size()) val = args[++i];
-      return val;
-    };
-    if (flag == "--stack") {
-      o.stack = need();
-    } else if (flag == "--n") {
-      o.n = std::stoul(need());
-    } else if (flag == "--t") {
-      o.t = std::stoul(need());
-    } else if (flag == "--delta") {
-      o.delta = std::stoll(need());
-    } else if (flag == "--seed") {
-      o.seed = std::stoull(need());
-    } else if (flag == "--ell") {
-      o.ells = parse_ells(need());
-    } else if (flag == "--out-dir") {
-      o.out_dir = need();
-    } else if (flag == "--json") {
-      o.json_path = need();
-    } else if (flag == "--md") {
-      o.md_path = need();
-    } else if (flag == "--baseline") {
-      o.baseline = need();
-    } else if (flag == "--write-baseline") {
-      o.write_baseline = true;
-    } else if (flag == "--tolerance") {
-      o.tolerance = std::stod(need());
-    } else if (flag == "-j" || flag == "--jobs") {
-      o.jobs = std::stoul(need());
-      if (o.jobs == 0) o.jobs = hds::exp::default_jobs();
-    } else if (flag == "--shards") {
-      o.shards = std::stoul(need());
-      if (o.shards == 0) o.shards = 1;
-    } else if (flag == "--help" || flag == "-h") {
+    if (flag == "--help" || flag == "-h") {
       usage(std::cout);
       std::exit(0);
-    } else {
+    }
+    if (flag == "--write-baseline") {
+      o.write_baseline = true;
+      continue;
+    }
+    const auto it = flags.find(flag);
+    if (it == flags.end()) {
       std::cerr << "hds_report: unknown flag " << flag << '\n';
+      return false;
+    }
+    if (val.empty() && i + 1 < args.size()) val = args[++i];
+    try {
+      if (val.empty()) throw std::invalid_argument(flag);
+      it->second(val);
+    } catch (const std::logic_error&) {  // missing, or std::stoul and friends: not a number
+      std::cerr << "hds_report: bad value for " << flag << '\n';
       return false;
     }
   }

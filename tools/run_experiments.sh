@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Reproduces everything: build, full test suite, every per-figure benchmark,
-# the trace/metrics exports, and the QoS report with its regression check.
+# Reproduces everything: build, full test suite, the paper's series, every
+# benchmark, the trace/metrics exports, and the QoS report with its
+# regression check.
 #
 # All artifacts of one invocation land in experiments_out/<UTC timestamp>/:
 #   test_output.txt           full ctest transcript
+#   paper_series.md           the paper's series (tools/hds_paper), equal to
+#                             docs/paper_series.md when the tests pass
 #   bench_output.txt          every benchmark's console output
 #   <bench>_metrics.json      per-benchmark metrics snapshot (--metrics-json)
 #   fig8_trace.json / .jsonl  structured event log exports
@@ -12,7 +15,8 @@
 #   qos_report.{json,md}      QoS sweep + regression verdict
 #   qos_metrics_*.json        per-sweep-point metrics snapshots
 #
-# Exits nonzero if the build, the tests, or the QoS regression check fail.
+# Exits nonzero if the build, the tests, a paper-series property check, or
+# the QoS regression check fail.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +31,7 @@ JOBS="$(nproc 2>/dev/null || echo 1)"
 
 ctest --test-dir build -j "$JOBS" 2>&1 | tee "$OUT/test_output.txt"
 
+build/tools/hds_paper > "$OUT/paper_series.md"
 : > "$OUT/bench_output.txt"
 for b in build/bench/bench_*; do
   [ -x "$b" ] || continue

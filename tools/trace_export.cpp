@@ -11,8 +11,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "consensus/harness.h"
@@ -53,39 +56,35 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options o;
+  using Set = std::function<void(const std::string&)>;
+  const std::map<std::string, Set> flags = {
+      {"--stack", [&](const std::string& v) { o.stack = v; }},
+      {"--n", [&](const std::string& v) { o.n = std::stoul(v); }},
+      {"--crashes", [&](const std::string& v) { o.crashes = std::stoul(v); }},
+      {"--seed", [&](const std::string& v) { o.seed = std::stoull(v); }},
+      {"--trace-capacity", [&](const std::string& v) { o.trace_capacity = std::stoul(v); }},
+      {"--max-time", [&](const std::string& v) { o.max_time = std::stoll(v); }},
+      {"--chrome", [&](const std::string& v) { o.chrome_path = v; }},
+      {"--jsonl", [&](const std::string& v) { o.jsonl_path = v; }},
+      {"--metrics", [&](const std::string& v) { o.metrics_path = v; }},
+      {"--label", [&](const std::string& v) { o.label = v; }},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "trace_export: " << a << " needs a value\n";
-        usage_and_exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--stack") {
-      o.stack = value();
-    } else if (a == "--n") {
-      o.n = std::stoul(value());
-    } else if (a == "--crashes") {
-      o.crashes = std::stoul(value());
-    } else if (a == "--seed") {
-      o.seed = std::stoull(value());
-    } else if (a == "--trace-capacity") {
-      o.trace_capacity = std::stoul(value());
-    } else if (a == "--max-time") {
-      o.max_time = std::stoll(value());
-    } else if (a == "--chrome") {
-      o.chrome_path = value();
-    } else if (a == "--jsonl") {
-      o.jsonl_path = value();
-    } else if (a == "--metrics") {
-      o.metrics_path = value();
-    } else if (a == "--label") {
-      o.label = value();
-    } else if (a == "--help" || a == "-h") {
-      usage_and_exit(0);
-    } else {
+    if (a == "--help" || a == "-h") usage_and_exit(0);
+    const auto it = flags.find(a);
+    if (it == flags.end()) {
       std::cerr << "trace_export: unknown option " << a << "\n";
+      usage_and_exit(2);
+    }
+    if (i + 1 >= argc) {
+      std::cerr << "trace_export: " << a << " needs a value\n";
+      usage_and_exit(2);
+    }
+    try {
+      it->second(argv[++i]);
+    } catch (const std::logic_error&) {  // std::stoul and friends: not a number
+      std::cerr << "trace_export: bad value for " << a << "\n";
       usage_and_exit(2);
     }
   }
