@@ -65,7 +65,7 @@ void BM_Codec_RoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_Codec_RoundTrip)->Arg(0)->Arg(1);
 
-// Broadcasts on demand from the node thread (send_burst runs via query, so
+// Broadcasts on demand under the node lock (send_burst runs via query, so
 // it may use the Env captured at on_start); counts deliveries.
 struct BurstProcess final : Process {
   void on_start(Env& env) override { env_ = &env; }

@@ -9,10 +9,11 @@
 // implementation — this header exists so neither engine depends on it.
 //
 // Call context: the simulator calls from the event loop (single-threaded);
-// NetSystem calls from whichever of its threads is sending (node thread
-// for broadcasts; recv and ARQ threads for retransmissions and acks).
-// Implementations must synchronize internally and be deterministic as a
-// function of (seed, call order) so failing runs replay exactly.
+// a net::NodeCore calls from whichever thread drives it — NetSystem's one
+// thread per node, so an interposer shared by several in-process nodes
+// is called concurrently. Implementations must synchronize internally and
+// be deterministic as a function of (seed, call order) so failing runs
+// replay exactly.
 #pragma once
 
 #include <cstddef>

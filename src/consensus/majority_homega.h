@@ -53,8 +53,9 @@ struct MajorityConsensusConfig {
 
   // Ablation switch (not in the paper): drop the Leaders' Coordination
   // Phase. With homonymous leaders this removes the mechanism that makes
-  // leaders converge on one estimate — used by the ablation benchmark to
-  // show why the phase exists.
+  // leaders converge on one estimate — the `ab-coord` series of
+  // tools/hds_paper (docs/paper_series.md) uses it to show why the phase
+  // exists.
   bool skip_coordination_phase = false;
 
   // Task T2 under crash-RESTART (beyond the paper's crash-stop model): when

@@ -50,9 +50,10 @@ class OHPPolling final : public Process, public OHPHandle, public HOmegaHandle {
   struct Options {
     SimTime initial_timeout = 1;
     // Ablation switch (not in the paper's algorithm, whose lines 33-34 are
-    // the adaptation): freeze the timeout at its initial value. Used by the
-    // ablation benchmark to show that without adaptation the detector never
-    // stabilizes once the (unknown) delta exceeds the timeout.
+    // the adaptation): freeze the timeout at its initial value. The
+    // `ab-timeout` series of tools/hds_paper (docs/paper_series.md) uses it
+    // to show that without adaptation the detector never stabilizes once
+    // the (unknown) delta exceeds the timeout.
     bool adaptive_timeout = true;
   };
 

@@ -6,21 +6,20 @@
 // code; the in-process form is how the algorithms run under real
 // concurrency.
 //
-// Concurrency discipline: the local process's state is touched only by its
-// node thread; query() posts a closure into the node mailbox and waits.
-// Three internal threads (four with reliability on):
-//   - node:   time-ordered mailbox dispatch (handlers, timers, queries);
-//   - recv:   recvfrom -> split_batch -> decode_frame -> mailbox;
-//   - sender: per-destination batching (flush on size or time budget),
-//             plus interposer-injected delays and duplicates;
-//   - rel:    ARQ retransmission/ack timer (only when reliability is on).
+// Everything a node does lives in a net::NodeCore (net/node_core.h); this
+// class adds the socket, the steady clock, and ONE thread per node. From
+// construction to stop() that thread waits on the socket and a wake-up fd
+// until the core's next deadline, feeds the core what arrived or fell due,
+// and sends what it returns. Every call into the core, from that thread or
+// from a caller (start, crash, query, the counters), holds the node lock,
+// so the local process's handlers never run concurrently.
 //
 // Startup barrier: UDP gives no retransmission and several stacks (Fig. 8)
 // tolerate zero message loss, so a datagram fired at a peer whose socket is
-// not yet bound would wedge the run. await_peers() exchanges HELLO /
-// HELLO-ACK control frames until every peer has been heard from; call it
-// after construction (the socket binds and the recv thread starts in the
-// constructor) and before start().
+// not yet bound would wedge the run. await_peers() has the core probe its
+// silent peers (HELLO, or REJOIN for a restarted incarnation) until every
+// peer has been heard from; call it after construction (the socket binds
+// and the node thread starts in the constructor) and before start().
 //
 // Reliability: cfg.reliability.enabled routes every data frame through a
 // per-link ARQ channel (net/reliable.h) — sequence numbers, piggybacked
@@ -37,92 +36,42 @@
 // never acked.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/link_fault.h"
-#include "common/rng.h"
 #include "common/types.h"
+#include "net/node_core.h"
 #include "net/reliable.h"
 #include "net/udp.h"
-#include "obs/causal.h"
-#include "obs/metrics.h"
 #include "sim/process.h"
 #include "sim/tracelog.h"
 
 namespace hds::net {
 
-struct NetPeer {
-  Id id = 0;  // homonymous identifier of the process at this endpoint
-  UdpEndpoint ep;
-};
-
-struct NetConfig {
-  // Index of the local process within `peers` (the cluster-wide indexing
-  // that plays the role ProcIndex plays on the other substrates).
-  ProcIndex self = 0;
-  std::vector<NetPeer> peers;
-  std::uint64_t seed = 1;
-  // Send batching: frames to one destination coalesce into one datagram,
-  // flushed when the batch reaches about one MTU or has waited
-  // flush_interval_ms. batching=false sends one frame per datagram.
-  bool batching = true;
-  SimTime flush_interval_ms = 1;
-  obs::MetricsRegistry* metrics = nullptr;
-  // ARQ layer (net/reliable.h). Disabled by default: frames stay
-  // byte-identical to plain v1 and no rel thread is spawned.
-  RelConfig reliability;
-  // Incarnation number of this process; > 0 switches the startup barrier to
-  // REJOIN probes and makes peers flush this node's per-link ARQ state.
-  std::uint64_t epoch = 0;
-  // > 0 enables the structured event log + causal stamping: every local
-  // broadcast mints a lineage id (node index folded into the high bits so
-  // ids are cluster-unique) that crosses the socket via the v1 codec's
-  // trace-context extension. 0 keeps frames byte-identical to plain v1.
-  std::size_t trace_capacity = 0;
-};
-
-// Counter parity with the simulator's NetworkStats, plus the transport
-// quantities that only exist once real datagrams are involved.
-struct NetNetworkStats {
-  std::uint64_t broadcasts = 0;         // local broadcast() invocations
-  std::uint64_t copies_sent = 0;        // frames handed to the sender (incl. duplicates)
-  std::uint64_t copies_delivered = 0;   // handler ran at the local process
-  std::uint64_t copies_lost_link = 0;   // interposer drops + sendto failures
-  std::uint64_t copies_duplicated = 0;  // extra copies injected by a fault plan
-  std::uint64_t bytes_sent = 0;         // datagram payload bytes handed to the kernel
-  std::uint64_t bytes_received = 0;     // datagram payload bytes received
-  std::uint64_t packets_sent = 0;       // datagrams handed to the kernel
-  std::uint64_t packets_received = 0;   // datagrams received
-  std::uint64_t decode_errors = 0;      // malformed frames/batches rejected
-  std::map<std::string, std::uint64_t> broadcasts_by_type;
-};
-
 class NetSystem {
  public:
   // Binds the socket (throws std::system_error on failure) and starts the
-  // recv + sender threads. peers[self].ep.port == 0 binds an ephemeral
-  // port, reported by local_port() — the in-process test pattern.
+  // node thread. peers[self].ep.port == 0 binds an ephemeral port, reported
+  // by local_port() — the in-process test pattern.
   explicit NetSystem(NetConfig cfg);
   ~NetSystem();
 
   NetSystem(const NetSystem&) = delete;
   NetSystem& operator=(const NetSystem&) = delete;
 
-  [[nodiscard]] std::uint16_t local_port() const;
-  [[nodiscard]] std::size_t n() const { return peers_.size(); }
-  [[nodiscard]] ProcIndex self() const { return self_; }
-  [[nodiscard]] Id id_of(ProcIndex i) const { return peers_.at(i).id; }
+  [[nodiscard]] std::uint16_t local_port() const { return sock_.local_port(); }
+  [[nodiscard]] std::size_t n() const { return core_.n(); }
+  [[nodiscard]] ProcIndex self() const { return core_.self(); }
+  [[nodiscard]] Id id_of(ProcIndex i) const { return core_.id_of(i); }
 
   // Lets in-process harnesses wire ephemeral ports together before the
   // barrier: rebinds peer i's destination endpoint. Only before start().
@@ -135,34 +84,28 @@ class NetSystem {
   // outlive the system. Verdict times are milliseconds.
   void set_interposer(LinkInterposer* li);
 
-  // Blocks until a control frame has been received from every peer, sending
-  // HELLO probes the whole time. Returns false on timeout.
+  // Blocks until a control frame has been received from every peer, probing
+  // the silent ones the whole time. Returns false on timeout.
   bool await_peers(std::chrono::milliseconds timeout);
 
-  // Starts the node thread and delivers on_start. Messages received before
-  // start() queue up and are dispatched after on_start.
+  // Delivers on_start, then the messages that arrived before start().
   void start();
 
-  // Crashes the LOCAL process (remote crashes are remote kill -9).
+  // Crashes the LOCAL process (remote crashes are remote kill -9): no
+  // handler runs once this returns.
   void crash();
   [[nodiscard]] bool is_crashed() const;
 
-  // Runs `fn` on the node thread against the local process and returns the
-  // result. Blocks until executed; throws if the local process crashed.
+  // Runs `fn` against the local process under the node lock and returns the
+  // result. Waits for start(); throws if the local process crashed. `fn`
+  // must not call back into this NetSystem: the lock is not recursive.
   template <typename F>
   auto query(F&& fn) -> decltype(fn(std::declval<Process&>())) {
-    using R = decltype(fn(std::declval<Process&>()));
-    std::promise<R> prom;
-    auto fut = prom.get_future();
-    post_task([&prom, fn = std::forward<F>(fn)](Process& p) mutable {
-      if constexpr (std::is_void_v<R>) {
-        fn(p);
-        prom.set_value();
-      } else {
-        prom.set_value(fn(p));
-      }
-    });
-    return fut.get();
+    std::unique_lock lk(mu_);
+    cv_.wait(lk, [this] { return core_.started() || core_.crashed(); });
+    if (core_.crashed()) throw std::runtime_error("NetSystem::query: node crashed");
+    const WakeOnExit wake{*this};  // the query may have queued frames
+    return core_.query(std::chrono::steady_clock::now(), std::forward<F>(fn));
   }
 
   // Polls `pred` on the caller thread until it holds or timeout.
@@ -173,11 +116,11 @@ class NetSystem {
 
   // ARQ counters; all zero when reliability is off.
   [[nodiscard]] RelStats rel_stats();
-  [[nodiscard]] bool reliable() const { return rel_ != nullptr; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_num_; }
+  [[nodiscard]] bool reliable() const { return core_.reliable(); }
+  [[nodiscard]] std::uint64_t epoch() const { return core_.epoch(); }
 
   // ---- causal tracing / telemetry surface (all thread-safe) ----
-  [[nodiscard]] bool trace_enabled() const { return trace_.enabled(); }
+  [[nodiscard]] bool trace_enabled() const { return core_.trace().enabled(); }
   // Events recorded since the caller's cursor (start at 0), for incremental
   // telemetry streaming; advances the cursor.
   std::vector<TraceEvent> drain_trace(std::uint64_t& cursor);
@@ -188,112 +131,33 @@ class NetSystem {
   // cluster launcher uses it to rebase per-node traces onto one timeline.
   [[nodiscard]] std::int64_t epoch_wall_us() const { return epoch_wall_us_; }
 
-  // Stops and joins all three threads; closes the socket. Idempotent.
+  // Stops and joins the node thread, which first sends the batches still
+  // pending; closes the socket. Idempotent.
   void stop();
 
  private:
-  class Node;
-
-  // One frame awaiting its send instant (interposer extra_delay /
-  // duplicate trail); heap-ordered by (at, seq).
-  struct SendItem {
-    std::chrono::steady_clock::time_point at;
-    std::uint64_t seq = 0;
-    ProcIndex to = 0;
-    std::vector<std::uint8_t> frame;
+  struct WakeOnExit {
+    NetSystem& sys;
+    ~WakeOnExit() { sys.wake(); }
   };
 
-  void post_task(std::function<void(Process&)> task);
-  void note_delivered();
-  // Causal hooks, called on the node thread only (the only dispatch
-  // context): see causal_ below.
-  void note_start();
-  void note_timer_fire(std::uint64_t armed_parent);
-  void note_causal_delivery(const Message& m);
-  void broadcast_from_self(const Message& m);
-  void flush_batch(ProcIndex to);
-  void enqueue_send(std::chrono::steady_clock::time_point at, ProcIndex to,
-                    std::vector<std::uint8_t> frame);
-  void send_control(std::uint8_t tag, ProcIndex to);
-  void send_control(std::uint8_t tag, ProcIndex to, const std::vector<std::uint8_t>& body);
-  void recv_loop();
-  void sender_loop();
-  void rel_loop();
-  // Runs each ARQ output (retransmission / standalone ack) through the
-  // interposer and the send queue; callable from any thread.
-  void dispatch_rel_sends(std::vector<RelSend> sends);
-  void handle_frame(const std::uint8_t* data, std::size_t len);
-  [[nodiscard]] SimTime now_ms() const;
+  void run();
+  void wake();
+  // Sends everything the core has ready; called with mu_ held.
+  void transmit();
 
-  ProcIndex self_;
-  // ids are immutable after construction; the endpoints may be rewired by
-  // set_peer_endpoint() while the recv thread is already acking, so
-  // endpoint reads on send paths go through ep_mu_.
-  std::vector<NetPeer> peers_;
-  mutable std::mutex ep_mu_;
-  bool batching_;
-  SimTime flush_interval_ms_;
-  std::chrono::steady_clock::time_point epoch_;
   std::int64_t epoch_wall_us_ = 0;
-
-  // Causal state is written only by the node thread (broadcast, delivery,
-  // timer and start dispatch all happen there); the trace ring is written by
-  // the node thread and drained by telemetry callers under trace_mu_.
-  obs::CausalSession causal_;
-  mutable std::mutex trace_mu_;
-  TraceLog trace_{0};
-
   UdpSocket sock_;
+  int wake_fd_ = -1;
 
-  std::mutex rng_mu_;
-  Rng rng_;
-
-  LinkInterposer* interposer_ = nullptr;
-
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* m_broadcasts_ = nullptr;
-  obs::Counter* m_copies_delivered_ = nullptr;
-  obs::Counter* m_copies_lost_link_ = nullptr;
-  obs::Counter* m_copies_duplicated_ = nullptr;
-  obs::Counter* m_bytes_sent_ = nullptr;
-  obs::Counter* m_bytes_received_ = nullptr;
-  obs::Counter* m_packets_sent_ = nullptr;
-  obs::Counter* m_packets_received_ = nullptr;
-  obs::Counter* m_decode_errors_ = nullptr;
-  obs::Histogram* m_batch_frames_ = nullptr;  // frames per sent datagram
-  obs::Histogram* m_batch_bytes_ = nullptr;   // payload bytes per sent datagram
-
-  std::mutex stats_mu_;
-  NetNetworkStats stats_;
-
-  // Peer barrier state (recv thread writes, await_peers reads).
-  std::mutex peers_mu_;
-  std::condition_variable peers_cv_;
-  std::vector<bool> heard_from_;
-
-  // Sender state: a time-ordered frame queue plus per-destination pending
-  // batches with flush deadlines.
-  struct PendingBatch;
-  std::mutex send_mu_;
-  std::condition_variable send_cv_;
-  std::vector<std::unique_ptr<PendingBatch>> pending_;  // one slot per peer
-  std::uint64_t send_seq_ = 0;
-  std::vector<SendItem> send_queue_;  // heap ordered by (at, seq)
-  std::atomic<bool> stop_flag_{false};
-
-  // ARQ state; null when reliability is off (the send/recv paths then skip
-  // every rel branch, keeping the off configuration byte-identical).
-  std::unique_ptr<ReliableChannel> rel_;
-  std::uint64_t epoch_num_ = 0;
-  std::mutex rel_wake_mu_;
-  std::condition_variable rel_cv_;
-
-  std::unique_ptr<Node> node_;
-  std::thread recv_thread_;
-  std::thread send_thread_;
-  std::thread rel_thread_;
-  bool started_ = false;
-  bool stopped_ = false;
+  // Guards everything below but the thread; cv_ signals the barrier
+  // heard, start() and crash().
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<UdpEndpoint> endpoints_;
+  NodeCore core_;
+  bool stopping_ = false;
+  std::thread thread_;
 };
 
 }  // namespace hds::net

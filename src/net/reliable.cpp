@@ -8,8 +8,6 @@ namespace hds::net {
 
 namespace {
 
-constexpr std::size_t kReorderBuffer = 256;  // parked out-of-order frames per link
-constexpr SimTime kRtoMinMs = 20;            // floor of the RTT-estimated timeout
 // The emulator's retry spacing: 8 ms doubling, capped at 1024 ms.
 constexpr SimTime kEmulatorRtoBaseMs = 8;
 constexpr SimTime kEmulatorRtoMaxMs = 1024;
@@ -126,17 +124,15 @@ std::optional<std::uint64_t> parse_rejoin_body(const std::uint8_t* data, std::si
 
 // ---------------------------------------------------------------- channel
 
-ReliableChannel::ReliableChannel(RelConfig cfg, std::uint64_t jitter_seed, ProcIndex self,
-                                 Id self_id, std::size_t n, std::uint64_t self_epoch,
+ReliableChannel::ReliableChannel(std::uint64_t jitter_seed, ProcIndex self, Id self_id,
+                                 std::size_t n, std::uint64_t self_epoch,
                                  obs::MetricsRegistry* metrics)
-    : cfg_(cfg),
-      self_(self),
+    : self_(self),
       self_id_(self_id),
       self_epoch_(self_epoch),
       send_(n),
       recv_(n),
       rng_(jitter_seed) {
-  if (cfg_.window == 0) throw std::invalid_argument("ReliableChannel: zero window");
   if (metrics != nullptr) {
     m_data_sent_ = &metrics->counter("rel_data_sent_total");
     m_retransmits_ = &metrics->counter("rel_retransmits_total");
@@ -157,9 +153,9 @@ ReliableChannel::ReliableChannel(RelConfig cfg, std::uint64_t jitter_seed, ProcI
 }
 
 SimTime ReliableChannel::current_rto(const SendLink& s) const {
-  if (!s.have_rtt) return cfg_.rto_initial_ms;
+  if (!s.have_rtt) return kRtoInitialMs;
   const auto rto = static_cast<SimTime>(s.srtt_ms + 4.0 * s.rttvar_ms + 0.5);
-  return std::clamp(rto, kRtoMinMs, cfg_.rto_max_ms);
+  return std::clamp(rto, kRtoMinMs, kRtoMaxMs);
 }
 
 std::uint64_t ReliableChannel::ack_bits_of(const RecvLink& r) {
@@ -200,9 +196,8 @@ void ReliableChannel::update_rtt(SendLink& s, double sample_ms) {
 std::vector<std::uint8_t> ReliableChannel::wrap_data(ProcIndex to, const std::string& type,
                                                      const std::vector<std::uint8_t>& inner,
                                                      RelTime now) {
-  std::lock_guard lk(mu_);
   SendLink& s = send_.at(to);
-  if (s.window.size() >= cfg_.window) {
+  if (s.window.size() >= kWindow) {
     // Graceful degradation: abandon the oldest frame and advance the lost
     // floor so the peer's cumulative ack can move past the hole.
     if (!s.window.front().sacked) {
@@ -248,7 +243,6 @@ void ReliableChannel::drain_ready(RecvLink& r, std::vector<Message>& out) {
 
 std::vector<Message> ReliableChannel::on_data(ProcIndex from, const RelHeader& h, Message m,
                                               RelTime now) {
-  std::lock_guard lk(mu_);
   RecvLink& r = recv_.at(from);
   std::vector<Message> out;
   if (h.epoch != r.epoch) {
@@ -294,14 +288,13 @@ std::vector<Message> ReliableChannel::on_data(ProcIndex from, const RelHeader& h
   // missing our ack state.
   if (!r.ack_pending) {
     r.ack_pending = true;
-    r.ack_due = now + ms(cfg_.ack_delay_ms);
+    r.ack_due = now + ms(kAckDelayMs);
   }
   return out;
 }
 
 void ReliableChannel::on_ack(ProcIndex from, std::uint64_t ack_epoch, std::uint64_t ack_cum,
                              std::uint64_t ack_bits, RelTime now) {
-  std::lock_guard lk(mu_);
   if (ack_epoch != self_epoch_) {
     // Meant for a previous incarnation of this node; its seq space is gone.
     ++st_.stale_epoch_drops;
@@ -338,7 +331,6 @@ void ReliableChannel::on_ack(ProcIndex from, std::uint64_t ack_epoch, std::uint6
 
 std::vector<RelSend> ReliableChannel::note_peer_epoch(ProcIndex peer, std::uint64_t epoch,
                                                       RelTime now) {
-  std::lock_guard lk(mu_);
   std::vector<RelSend> out;
   RecvLink& r = recv_.at(peer);
   if (epoch <= r.epoch) return out;
@@ -374,13 +366,12 @@ std::vector<RelSend> ReliableChannel::note_peer_epoch(ProcIndex peer, std::uint6
 }
 
 std::vector<RelSend> ReliableChannel::tick(RelTime now) {
-  std::lock_guard lk(mu_);
   std::vector<RelSend> out;
   for (ProcIndex p = 0; p < send_.size(); ++p) {
     SendLink& s = send_[p];
     // Retry budget exhausted at the head: give up and advance the floor so
     // the link degrades instead of wedging.
-    while (!s.window.empty() && s.window.front().attempts > cfg_.max_retransmits) {
+    while (!s.window.empty() && s.window.front().attempts > kMaxRetransmits) {
       if (!s.window.front().sacked) {
         ++st_.window_drops;
         obs::inc(m_window_drops_);
@@ -390,15 +381,15 @@ std::vector<RelSend> ReliableChannel::tick(RelTime now) {
     }
     for (Inflight& f : s.window) {
       if (f.sacked || f.next_due > now) continue;
-      if (f.attempts >= cfg_.max_retransmits) {
+      if (f.attempts >= kMaxRetransmits) {
         // Out of budget mid-window; parked at max RTO until it reaches the
         // head and the give-up path above runs.
-        f.attempts = cfg_.max_retransmits + 1;
-        f.next_due = now + ms(cfg_.rto_max_ms);
+        f.attempts = kMaxRetransmits + 1;
+        f.next_due = now + ms(kRtoMaxMs);
         continue;
       }
       ++f.attempts;
-      f.rto_ms = std::min<SimTime>(f.rto_ms * 2, cfg_.rto_max_ms);
+      f.rto_ms = std::min<SimTime>(f.rto_ms * 2, kRtoMaxMs);
       const SimTime jitter = rng_.uniform(0, std::max<SimTime>(1, f.rto_ms / 4));
       f.next_due = now + ms(f.rto_ms + jitter);
       ++st_.retransmits;
@@ -419,8 +410,7 @@ std::vector<RelSend> ReliableChannel::tick(RelTime now) {
   return out;
 }
 
-std::optional<RelTime> ReliableChannel::next_deadline() {
-  std::lock_guard lk(mu_);
+std::optional<RelTime> ReliableChannel::next_deadline() const {
   std::optional<RelTime> next;
   for (const SendLink& s : send_) {
     for (const Inflight& f : s.window) {
@@ -432,11 +422,6 @@ std::optional<RelTime> ReliableChannel::next_deadline() {
     if (r.ack_pending && (!next || r.ack_due < *next)) next = r.ack_due;
   }
   return next;
-}
-
-RelStats ReliableChannel::stats() {
-  std::lock_guard lk(mu_);
-  return st_;
 }
 
 // --------------------------------------------------------------- emulator
@@ -452,7 +437,7 @@ CopyVerdict ReliableLinkEmulator::on_copy(SimTime now, ProcIndex from, ProcIndex
   if (!v.drop) return v;
   SimTime delay = v.extra_delay;
   SimTime rto = kEmulatorRtoBaseMs;
-  for (int attempt = 1; attempt < cfg_.max_attempts; ++attempt) {
+  for (int attempt = 1; attempt < kMaxAttempts; ++attempt) {
     delay += rto;
     rto = std::min<SimTime>(rto * 2, kEmulatorRtoMaxMs);
     CopyVerdict retry = inner_.on_copy(now + delay, from, to, type);

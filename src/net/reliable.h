@@ -23,7 +23,7 @@
 //     exactly-once and in order;
 //   - acks are cumulative plus a 64-bit selective bitmap over
 //     cum+1..cum+64, piggybacked on every reverse-direction data frame and
-//     flushed as a standalone kTagRelAck control frame after ack_delay_ms
+//     flushed as a standalone kTagRelAck control frame after kAckDelayMs
 //     when the reverse direction is idle.
 //
 // Crash-restart: a process incarnation carries an epoch (bumped by the
@@ -38,16 +38,16 @@
 // like the trace context: reliability off never sets the flag and frames
 // stay byte-identical to plain v1 (the golden fixtures pin both layouts).
 //
-// The channel is substrate-passive: it never touches a socket or a clock.
-// Callers pass `now` in and send whatever the calls return, which is what
-// makes the property tests deterministic (virtual time, scripted loss).
+// The channel is substrate-passive: it never touches a socket, a clock or a
+// lock. Callers pass `now` in and send whatever the calls return, which is
+// what makes the property tests deterministic (virtual time, scripted
+// loss); the owning net::NodeCore serializes every call.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -97,13 +97,10 @@ std::optional<RelAckBody> parse_rel_ack_body(const std::uint8_t* data, std::size
 std::vector<std::uint8_t> rejoin_body(std::uint64_t epoch);
 std::optional<std::uint64_t> parse_rejoin_body(const std::uint8_t* data, std::size_t len);
 
+// Whether a node runs the ARQ at all; its tuning is ReliableChannel's
+// constants.
 struct RelConfig {
   bool enabled = false;
-  std::size_t window = 128;      // in-flight frames per link before drop-oldest
-  SimTime rto_initial_ms = 100;  // before the first RTT sample
-  SimTime rto_max_ms = 2000;
-  SimTime ack_delay_ms = 15;  // standalone-ack latency when the link is idle
-  int max_retransmits = 30;   // retry budget per frame, then lost-floor give-up
 };
 
 // Counter snapshot; every field also has a rel_* metrics-registry series.
@@ -135,9 +132,17 @@ struct RelSend {
 
 class ReliableChannel {
  public:
+  static constexpr std::size_t kWindow = 128;         // in-flight frames per link before drop-oldest
+  static constexpr std::size_t kReorderBuffer = 256;  // parked out-of-order frames per link
+  static constexpr SimTime kRtoInitialMs = 100;       // before the first RTT sample
+  static constexpr SimTime kRtoMinMs = 20;            // floor of the RTT-estimated timeout
+  static constexpr SimTime kRtoMaxMs = 2000;
+  static constexpr SimTime kAckDelayMs = 15;  // standalone-ack latency when the link is idle
+  static constexpr int kMaxRetransmits = 30;  // retry budget per frame, then lost-floor give-up
+
   // jitter_seed seeds the retransmission jitter.
-  ReliableChannel(RelConfig cfg, std::uint64_t jitter_seed, ProcIndex self, Id self_id,
-                  std::size_t n, std::uint64_t self_epoch, obs::MetricsRegistry* metrics);
+  ReliableChannel(std::uint64_t jitter_seed, ProcIndex self, Id self_id, std::size_t n,
+                  std::uint64_t self_epoch, obs::MetricsRegistry* metrics);
 
   [[nodiscard]] std::uint64_t self_epoch() const { return self_epoch_; }
 
@@ -167,9 +172,9 @@ class ReliableChannel {
   std::vector<RelSend> tick(RelTime now);
 
   // Earliest instant tick() has work; nullopt when fully idle.
-  [[nodiscard]] std::optional<RelTime> next_deadline();
+  [[nodiscard]] std::optional<RelTime> next_deadline() const;
 
-  [[nodiscard]] RelStats stats();
+  [[nodiscard]] const RelStats& stats() const { return st_; }
 
  private:
   struct Inflight {
@@ -205,8 +210,6 @@ class ReliableChannel {
   void update_rtt(SendLink& s, double sample_ms);
   void drain_ready(RecvLink& r, std::vector<Message>& out);
 
-  mutable std::mutex mu_;
-  RelConfig cfg_;
   ProcIndex self_;
   Id self_id_;
   std::uint64_t self_epoch_;
@@ -238,7 +241,7 @@ class ReliableChannel {
 // retransmission-spaced future instants until an attempt gets through (the
 // verdict's extra delay accumulates the recovery time), and injected
 // duplicates are suppressed (the dedup window would discard them anyway).
-// After max_attempts the copy is dropped for real — the same bounded
+// After kMaxAttempts the copy is dropped for real — the same bounded
 // retry budget / lost-floor degradation the live layer applies.
 //
 // Consumes no randomness of its own, so a chaos case replays byte-identically.
@@ -246,11 +249,9 @@ class ReliableChannel {
 // after the observer it wraps, it replaces that observer's seam.
 class ReliableLinkEmulator final : public LinkInterposer, public RunObserver {
  public:
-  struct Config {
-    int max_attempts = 12;  // cumulative backoff spans > 4s, past any GST
-  };
+  static constexpr int kMaxAttempts = 12;  // cumulative backoff spans > 4s, past any GST
+
   explicit ReliableLinkEmulator(LinkInterposer& inner) : inner_(inner) {}
-  ReliableLinkEmulator(LinkInterposer& inner, Config cfg) : inner_(inner), cfg_(cfg) {}
 
   CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to, const std::string& type) override;
   void attach(System& sys) override;
@@ -261,7 +262,6 @@ class ReliableLinkEmulator final : public LinkInterposer, public RunObserver {
 
  private:
   LinkInterposer& inner_;
-  Config cfg_;
   std::uint64_t recovered_ = 0;
   std::uint64_t dedup_suppressed_ = 0;
   std::uint64_t given_up_ = 0;

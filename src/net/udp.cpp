@@ -74,10 +74,11 @@ bool UdpSocket::send_to(const UdpEndpoint& ep, const std::uint8_t* data, std::si
   return n == static_cast<ssize_t>(len);
 }
 
-std::optional<std::size_t> UdpSocket::recv(std::vector<std::uint8_t>& buf) {
+std::optional<std::size_t> UdpSocket::recv(std::vector<std::uint8_t>& buf, bool wait) {
   if (fd_ < 0) return std::nullopt;
   buf.resize(64 * 1024);
-  const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), 0, nullptr, nullptr);
+  const ssize_t n =
+      ::recvfrom(fd_, buf.data(), buf.size(), wait ? 0 : MSG_DONTWAIT, nullptr, nullptr);
   if (n < 0) return std::nullopt;  // timeout or transient error: caller re-polls
   buf.resize(static_cast<std::size_t>(n));
   return static_cast<std::size_t>(n);

@@ -308,7 +308,8 @@ TEST(Telemetry, MergerToleratesReorderedDeltas) {
   d.seq = 1;
   merger.ingest(d);
   EXPECT_TRUE(merger.node_final(0));
-  const Json* node = merger.summary().find("nodes")->find("0");
+  const Json summary = merger.summary();  // find() points into it
+  const Json* node = summary.find("nodes")->find("0");
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node->number_or("deltas", 0), 3.0);
   EXPECT_EQ(node->number_or("lost_deltas", 0), 0.0);
@@ -332,7 +333,8 @@ TEST(Telemetry, AdminPortRidesDeltasAndSurvivesZeroUpdates) {
   merger.ingest(d);
   EXPECT_EQ(merger.node_admin_port(3), 9301);
   EXPECT_EQ(merger.node_admin_port(7), 0);  // unseen node
-  const Json* node = merger.summary().find("nodes")->find("3");
+  const Json summary = merger.summary();  // find() points into it
+  const Json* node = summary.find("nodes")->find("3");
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node->number_or("admin_port", 0), 9301.0);
 }

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -355,6 +356,71 @@ TEST(NetSystem, MetricsRegistryMirrorsNetStats) {
   EXPECT_EQ(s0.copies_delivered, kN);
   EXPECT_EQ(reg.counter_total("udp_broadcasts_total"), s0.broadcasts);
   EXPECT_EQ(reg.counter_total("udp_copies_delivered_total"), s0.copies_delivered);
+}
+
+// A body with no registered codec cannot cross the socket: the broadcast
+// and every one of its copies' losses still count, in the registry as in
+// net_stats().
+struct NoCodecBody {
+  int x = 0;
+};
+
+class NoCodecProcess : public Process {
+ public:
+  void on_start(Env& env) override { env.broadcast(make_message("NO_CODEC", NoCodecBody{})); }
+};
+
+TEST(NetSystem, CodeclessBroadcastCountsInRegistryAndNetStatsAlike) {
+  constexpr std::size_t kN = 2;
+  obs::MetricsRegistry reg;
+  Cluster c(ids_unique(kN), /*seed=*/1, /*batching=*/true, &reg);
+  c.sys[0]->set_process(std::make_unique<NoCodecProcess>());
+  c.sys[1]->set_process(std::make_unique<PingProcess>(/*send_on_start=*/false));
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  ASSERT_TRUE(c.sys[0]->wait_for([&] { return c.sys[0]->net_stats().broadcasts == 1; }, 5s));
+  const NetNetworkStats s0 = c.sys[0]->net_stats();
+  EXPECT_EQ(s0.broadcasts_by_type.at("NO_CODEC"), 1u);
+  EXPECT_EQ(s0.copies_sent, 0u);
+  EXPECT_EQ(s0.copies_lost_link, kN);
+  EXPECT_EQ(reg.counter_total("udp_broadcasts_total"), s0.broadcasts);
+  EXPECT_EQ(reg.counter_total("udp_copies_lost_link_total"), s0.copies_lost_link);
+}
+
+// Each node runs on one thread from construction to stop(): the socket
+// loop. /proc/self/task lists this process's threads.
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+// A joined thread can linger in /proc/self/task for a moment after join()
+// returns (the kernel releases it just after waking the joiner).
+bool thread_count_settles_at(std::size_t want) {
+  for (int i = 0; i < 200 && thread_count() != want; ++i) std::this_thread::sleep_for(5ms);
+  return thread_count() == want;
+}
+
+TEST(NetSystem, OneThreadPerNode) {
+  constexpr std::size_t kN = 3;
+  // The thread sanitizer's runtime starts a helper thread at the first
+  // thread creation; create one first so the helper is in the baseline.
+  std::thread([] {}).join();
+  std::this_thread::sleep_for(50ms);
+  const std::size_t before = thread_count();
+  Cluster c(ids_unique(kN), /*seed=*/1, /*batching=*/true, /*metrics=*/nullptr,
+            /*reliable=*/true);
+  EXPECT_EQ(thread_count(), before + kN) << "building the cluster";
+  const auto procs = install_pings(c, kN);
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(c.sys[i]->wait_for([&] { return pings_at(c, procs, i) == int{kN}; }, 5s)) << i;
+  }
+  EXPECT_EQ(thread_count(), before + kN) << "after start()";
+  for (auto& s : c.sys) s->stop();
+  EXPECT_TRUE(thread_count_settles_at(before)) << thread_count() << " threads after stop(), "
+                                               << before << " before the build";
 }
 
 TEST(NetSystem, BroadcastReachesAllNodesIncludingSelf) {

@@ -134,12 +134,8 @@ std::vector<Message> receive(ReliableChannel& ch, ProcIndex from,
 // so the run (and every counter) is reproducible.
 TEST(RelChannel, LossDupReorderStillYieldsExactlyOnceInOrderBothWays) {
   constexpr int kN = 120;
-  RelConfig cfg;
-  cfg.enabled = true;
-  cfg.rto_initial_ms = 60;
-  cfg.ack_delay_ms = 10;
-  ReliableChannel a(cfg, 7, 0, 11, 2, 0, nullptr);
-  ReliableChannel b(cfg, 7, 1, 22, 2, 0, nullptr);
+  ReliableChannel a(7, 0, 11, 2, 0, nullptr);
+  ReliableChannel b(7, 1, 22, 2, 0, nullptr);
 
   Rng medium(20260809);
   std::multimap<SimTime, std::pair<ProcIndex, std::vector<std::uint8_t>>> wires;
@@ -195,7 +191,7 @@ TEST(RelChannel, LossDupReorderStillYieldsExactlyOnceInOrderBothWays) {
   EXPECT_EQ(sb.delivered, static_cast<std::uint64_t>(kN));
   EXPECT_EQ(sa.delivered, static_cast<std::uint64_t>(kN));
   // Bounded: the deterministic run needs a small constant factor of resends,
-  // nowhere near kN * max_retransmits.
+  // nowhere near kN * kMaxRetransmits.
   EXPECT_LE(sa.retransmits + sb.retransmits, static_cast<std::uint64_t>(kN) * 10);
   // The medium's duplicates (and retransmit crossings) were suppressed, and
   // jitter parked frames out of order.
@@ -205,28 +201,27 @@ TEST(RelChannel, LossDupReorderStillYieldsExactlyOnceInOrderBothWays) {
   EXPECT_GT(sb.acks_received, 0u);
 }
 
-// A link that blackholes long enough to exhaust a tiny retry budget must
+// A link that blackholes long enough to exhaust the retry budget must
 // degrade by advancing the lost floor — and the receiver must skip the
 // abandoned sequence numbers and keep delivering, not wedge forever on the
 // gap.
 TEST(RelChannel, RetryExhaustionAdvancesLostFloorInsteadOfWedging) {
-  RelConfig cfg;
-  cfg.enabled = true;
-  cfg.window = 4;
-  cfg.max_retransmits = 3;
-  cfg.rto_initial_ms = 20;
-  cfg.rto_max_ms = 40;
-  ReliableChannel a(cfg, 3, 0, 11, 2, 0, nullptr);
-  ReliableChannel b(cfg, 3, 1, 22, 2, 0, nullptr);
+  ReliableChannel a(3, 0, 11, 2, 0, nullptr);
+  ReliableChannel b(3, 1, 22, 2, 0, nullptr);
 
-  // 12 sends into a black hole: window overflow (drop-oldest) plus retry
-  // exhaustion abandon everything.
+  // A window and a dozen more sends into a black hole: window overflow
+  // (drop-oldest) abandons the first dozen, retry exhaustion the rest.
+  constexpr int kSends = static_cast<int>(ReliableChannel::kWindow) + 12;
   SimTime t = 0;
-  for (int i = 1; i <= 12; ++i) {
+  for (int i = 1; i <= kSends; ++i) {
     (void)a.wrap_data(1, OHPPolling::kPollType, frame_of(poll(static_cast<Round>(i), 11), 0, 11),
                       at(t));
   }
-  for (; t <= 2'000; t += 5) (void)a.tick(at(t));  // frames vanish
+  // Backoff reaches kRtoMaxMs within five doublings; each retry adds at
+  // most a quarter of jitter, and the last one waits out one more kRtoMaxMs.
+  constexpr SimTime kBlackhole =
+      (ReliableChannel::kMaxRetransmits + 2) * ReliableChannel::kRtoMaxMs * 5 / 4;
+  for (; t <= kBlackhole; t += 5) (void)a.tick(at(t));  // frames vanish
   const RelStats mid = a.stats();
   EXPECT_GT(mid.window_drops, 0u);
 
@@ -236,9 +231,9 @@ TEST(RelChannel, RetryExhaustionAdvancesLostFloorInsteadOfWedging) {
   const auto deliver_now = [&](const std::vector<std::uint8_t>& f) {
     for (const Message& m : receive(b, 0, f, at(t))) got.push_back(m.as<PollingMsg>()->r);
   };
-  deliver_now(a.wrap_data(1, OHPPolling::kPollType, frame_of(poll(99, 11), 0, 11), at(t)));
+  deliver_now(a.wrap_data(1, OHPPolling::kPollType, frame_of(poll(999, 11), 0, 11), at(t)));
   ASSERT_EQ(got.size(), 1u) << "receiver wedged on abandoned sequence numbers";
-  EXPECT_EQ(got[0], 99);
+  EXPECT_EQ(got[0], 999);
   EXPECT_GT(b.stats().skipped_lost, 0u);
 }
 
@@ -246,10 +241,8 @@ TEST(RelChannel, RetryExhaustionAdvancesLostFloorInsteadOfWedging) {
 // predecessor never acknowledged (re-queued under fresh sequence numbers),
 // and frames from the dead incarnation must be discarded, not delivered.
 TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
-  RelConfig cfg;
-  cfg.enabled = true;
-  ReliableChannel a(cfg, 5, 0, 11, 2, /*self_epoch=*/0, nullptr);
-  ReliableChannel b1(cfg, 5, 1, 22, 2, /*self_epoch=*/0, nullptr);
+  ReliableChannel a(5, 0, 11, 2, /*self_epoch=*/0, nullptr);
+  ReliableChannel b1(5, 1, 22, 2, /*self_epoch=*/0, nullptr);
 
   // Five payloads reach the first incarnation, but every ack is lost.
   for (int i = 1; i <= 5; ++i) {
@@ -270,7 +263,7 @@ TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
 
   // The new incarnation (tracking peer epochs afresh) gets all five, in
   // order, exactly once.
-  ReliableChannel b2(cfg, 5, 1, 22, 2, /*self_epoch=*/1, nullptr);
+  ReliableChannel b2(5, 1, 22, 2, /*self_epoch=*/1, nullptr);
   std::vector<Round> got;
   for (const RelSend& s : requeued) {
     EXPECT_EQ(s.to, 1u);
@@ -283,9 +276,9 @@ TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
 
   // Receiver-side staleness: a channel that has seen the peer's epoch-1
   // incarnation discards a lingering epoch-0 frame outright.
-  ReliableChannel c(cfg, 5, 0, 11, 2, 0, nullptr);
-  ReliableChannel a0(cfg, 5, 1, 22, 2, /*self_epoch=*/0, nullptr);
-  ReliableChannel a1(cfg, 5, 1, 22, 2, /*self_epoch=*/1, nullptr);
+  ReliableChannel c(5, 0, 11, 2, 0, nullptr);
+  ReliableChannel a0(5, 1, 22, 2, /*self_epoch=*/0, nullptr);
+  ReliableChannel a1(5, 1, 22, 2, /*self_epoch=*/1, nullptr);
   const auto old_frame =
       a0.wrap_data(0, OHPPolling::kPollType, frame_of(poll(1, 22), 1, 22), at(0));
   const auto new_frame =
@@ -295,15 +288,12 @@ TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
   EXPECT_GE(c.stats().stale_epoch_drops, 1u);
 }
 
-// Identical config + identical fault script => identical counters. The
+// Identical seeds + identical fault script => identical counters. The
 // channel's only nondeterminism would be a real clock; it has none.
 TEST(RelChannel, VirtualTimeRunsAreReproducible) {
   const auto run = [] {
-    RelConfig cfg;
-    cfg.enabled = true;
-    cfg.rto_initial_ms = 40;
-    ReliableChannel a(cfg, 9, 0, 1, 2, 0, nullptr);
-    ReliableChannel b(cfg, 9, 1, 2, 2, 0, nullptr);
+    ReliableChannel a(9, 0, 1, 2, 0, nullptr);
+    ReliableChannel b(9, 1, 2, 2, 0, nullptr);
     Rng medium(4242);
     std::multimap<SimTime, std::vector<std::uint8_t>> wires;
     for (SimTime t = 0; t <= 3'000; ++t) {
@@ -340,11 +330,9 @@ TEST(RelChannel, VirtualTimeRunsAreReproducible) {
 // delay), not that wait, and every frame must count as acked exactly once.
 TEST(RelChannel, SackedFrameTimesItsRoundTripAndCountsOnce) {
   constexpr SimTime kDelay = 5;  // one way, both directions
-  RelConfig cfg;
-  cfg.enabled = true;
   obs::MetricsRegistry reg;
-  ReliableChannel a(cfg, 1, 0, 11, 2, 0, &reg);
-  ReliableChannel b(cfg, 1, 1, 22, 2, 0, nullptr);
+  ReliableChannel a(1, 0, 11, 2, 0, &reg);
+  ReliableChannel b(1, 1, 22, 2, 0, nullptr);
 
   std::multimap<SimTime, std::pair<ProcIndex, std::vector<std::uint8_t>>> wires;
   bool lost_once = false;
@@ -378,7 +366,7 @@ TEST(RelChannel, SackedFrameTimesItsRoundTripAndCountsOnce) {
   EXPECT_EQ(rtt->count(), 3u);
   // The round trip plus the ack delay bounds every sample: no bucket wholly
   // above it holds one.
-  const std::int64_t ceiling = 2 * kDelay + cfg.ack_delay_ms;
+  const std::int64_t ceiling = 2 * kDelay + ReliableChannel::kAckDelayMs;
   for (std::size_t i = 1; i <= rtt->bounds().size(); ++i) {
     if (rtt->bounds()[i - 1] < ceiling) continue;
     EXPECT_EQ(rtt->bucket_count(i), 0u) << "a sample above " << rtt->bounds()[i - 1]
@@ -430,13 +418,11 @@ TEST(RelEmulator, RecoversDroppedCopyAtFirstPostHealRetry) {
 
 TEST(RelEmulator, PermanentBlackholeGivesUpAfterBoundedAttempts) {
   HealAt inner(std::numeric_limits<SimTime>::max());
-  ReliableLinkEmulator::Config cfg;
-  cfg.max_attempts = 5;
-  ReliableLinkEmulator rel(inner, cfg);
+  ReliableLinkEmulator rel(inner);
   const CopyVerdict v = rel.on_copy(0, 0, 1, "POLLING");
   EXPECT_TRUE(v.drop);
   EXPECT_EQ(rel.given_up(), 1u);
-  EXPECT_EQ(inner.calls(), 5);  // the retry budget, no more
+  EXPECT_EQ(inner.calls(), ReliableLinkEmulator::kMaxAttempts);  // the retry budget, no more
 }
 
 }  // namespace

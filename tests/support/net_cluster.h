@@ -1,7 +1,7 @@
 // In-process NetSystem cluster: one NetSystem per identifier, all in this
 // process, each with its own UDP socket on an ephemeral loopback port and
-// its own node/recv/sender threads. The real-concurrency test substrate:
-// several NetSystems exchange real datagrams without fork/exec.
+// its own node thread. The real-concurrency test substrate: several
+// NetSystems exchange real datagrams without fork/exec.
 #pragma once
 
 #include <chrono>

@@ -23,8 +23,7 @@
 //     "barrier_timeout_ms": 15000,
 //     "linger_ms": 300,                // stay alive after deciding so
 //                                      // laggard peers still hear us
-//     "batching": true,
-//     "flush_interval_ms": 1,
+//     "batching": true,                // coalesce frames per destination
 //     "metrics_json": "node0_metrics.json",  // optional registry dump
 //     "trace_capacity": 65536,         // > 0 enables causal tracing
 //     "admin_host": "127.0.0.1",       // launcher telemetry sink; with
@@ -67,29 +66,21 @@
 #include <chrono>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/link_fault.h"
-#include "common/rng.h"
-#include "consensus/majority_homega.h"
-#include "consensus/quorum_homega_hsigma.h"
-#include "fd/impl/hsigma_sync.h"
-#include "fd/impl/ohp_polling.h"
 #include "net/admin.h"
 #include "net/net_system.h"
 #include "net/udp.h"
+#include "node_stack.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/prom.h"
 #include "obs/telemetry.h"
 #include "obs/window_qos.h"
-#include "sim/stacked_process.h"
 #include "smr/harness.h"
-#include "smr/replica.h"
 
 namespace {
 
@@ -98,10 +89,7 @@ using namespace std::chrono_literals;
 
 struct NodeOptions {
   hds::net::NetConfig net;
-  std::string stack = "fig8";
-  hds::Value proposal = 0;
-  std::size_t t_known = 0;
-  hds::SimTime step_len_ms = 30;
+  hds::node::StackOptions stack;  // n, self and seed are filled from `net`
   hds::SimTime run_for_ms = 2000;
   hds::SimTime settle_ms = 750;
   bool trace = false;
@@ -120,35 +108,6 @@ struct NodeOptions {
   bool profile = false;
   std::string profile_out;
   double loss = 0.0;
-  hds::SimTime redecide_ms = 0;
-  std::size_t clients = 8;
-  std::size_t op_size = 0;
-  hds::SimTime smr_batch_ms = 5;
-  hds::SimTime smr_ack_ms = 25;
-  hds::SimTime smr_lease_ms = 20;
-};
-
-// Symmetric Bernoulli loss on every inter-node copy. Seeded and internally
-// synchronized per the LinkInterposer contract. REL_ACK and retransmission
-// copies are judged like any other traffic — the ARQ layer has to survive
-// losing its own acks too.
-class SymmetricLoss final : public hds::LinkInterposer {
- public:
-  SymmetricLoss(double p, std::uint64_t seed) : p_(p), rng_(seed) {}
-
-  hds::CopyVerdict on_copy(hds::SimTime, hds::ProcIndex from, hds::ProcIndex to,
-                           const std::string&) override {
-    if (from == to) return {};
-    std::lock_guard<std::mutex> lk(mu_);
-    hds::CopyVerdict v;
-    v.drop = rng_.chance(p_);
-    return v;
-  }
-
- private:
-  double p_;
-  std::mutex mu_;
-  hds::Rng rng_;
 };
 
 NodeOptions parse_config(const Json& cfg) {
@@ -171,12 +130,14 @@ NodeOptions parse_config(const Json& cfg) {
   if (o.net.self >= o.net.peers.size()) throw std::runtime_error("config: self out of range");
   o.net.seed = static_cast<std::uint64_t>(cfg.number_or("seed", 1));
   if (const Json* b = cfg.find("batching")) o.net.batching = b->boolean();
-  o.net.flush_interval_ms = static_cast<hds::SimTime>(cfg.number_or("flush_interval_ms", 1));
-  o.stack = cfg.string_or("stack", "fig8");
-  o.proposal =
+  o.stack.stack = cfg.string_or("stack", "fig8");
+  o.stack.n = o.net.peers.size();
+  o.stack.self = o.net.self;
+  o.stack.seed = o.net.seed;
+  o.stack.proposal =
       static_cast<hds::Value>(cfg.number_or("proposal", 100 + static_cast<double>(o.net.self)));
-  o.t_known = static_cast<std::size_t>(cfg.number_or("t_known", 0));
-  o.step_len_ms = static_cast<hds::SimTime>(cfg.number_or("step_len_ms", 30));
+  o.stack.t_known = static_cast<std::size_t>(cfg.number_or("t_known", 0));
+  o.stack.step_len_ms = static_cast<hds::SimTime>(cfg.number_or("step_len_ms", 30));
   o.run_for_ms = static_cast<hds::SimTime>(cfg.number_or("run_for_ms", 2000));
   o.settle_ms = static_cast<hds::SimTime>(cfg.number_or("settle_ms", 750));
   if (const Json* tr = cfg.find("trace")) o.trace = tr->boolean();
@@ -203,13 +164,13 @@ NodeOptions parse_config(const Json& cfg) {
   o.loss = cfg.number_or("loss", 0.0);
   if (o.loss < 0.0 || o.loss >= 1.0) throw std::runtime_error("config: loss must be in [0, 1)");
   o.net.epoch = static_cast<std::uint64_t>(cfg.number_or("epoch", 0));
-  o.redecide_ms = static_cast<hds::SimTime>(
+  o.stack.redecide_ms = static_cast<hds::SimTime>(
       cfg.number_or("redecide_ms", o.net.reliability.enabled ? 250 : 0));
-  o.clients = static_cast<std::size_t>(cfg.number_or("clients", 8));
-  o.op_size = static_cast<std::size_t>(cfg.number_or("op_size", 0));
-  o.smr_batch_ms = static_cast<hds::SimTime>(cfg.number_or("smr_batch_ms", 5));
-  o.smr_ack_ms = static_cast<hds::SimTime>(cfg.number_or("smr_ack_ms", 25));
-  o.smr_lease_ms = static_cast<hds::SimTime>(cfg.number_or("smr_lease_ms", 20));
+  o.stack.clients = static_cast<std::size_t>(cfg.number_or("clients", 8));
+  o.stack.op_size = static_cast<std::size_t>(cfg.number_or("op_size", 0));
+  o.stack.smr_batch_ms = static_cast<hds::SimTime>(cfg.number_or("smr_batch_ms", 5));
+  o.stack.smr_ack_ms = static_cast<hds::SimTime>(cfg.number_or("smr_ack_ms", 25));
+  o.stack.smr_lease_ms = static_cast<hds::SimTime>(cfg.number_or("smr_lease_ms", 20));
   return o;
 }
 
@@ -284,56 +245,20 @@ int run(const NodeOptions& o) {
   // first sends, ARQ retransmits, standalone acks — rolls the same dice.
   // HELLO/REJOIN barrier probes bypass interposers by design, so the
   // cluster still forms under heavy loss.
-  std::unique_ptr<SymmetricLoss> loss;
+  std::unique_ptr<hds::node::SymmetricLoss> loss;
   if (o.loss > 0.0) {
-    loss = std::make_unique<SymmetricLoss>(o.loss, o.net.seed ^ 0x10551055u);
+    loss = std::make_unique<hds::node::SymmetricLoss>(o.loss, hds::node::loss_seed(o.net.seed));
     sys.set_interposer(loss.get());
   }
 
   // Assemble the selected stack. Raw pointers stay valid: the system owns
   // the StackedProcess, which owns its components.
-  hds::OHPPolling* ohp = nullptr;
-  hds::HSigmaComponent* hsig = nullptr;
-  hds::MajorityHOmegaConsensus* cons8 = nullptr;
-  hds::QuorumConsensus* cons9 = nullptr;
-  hds::smr::SmrReplica* smr = nullptr;
-  auto stack = std::make_unique<hds::StackedProcess>();
-  if (o.stack == "fig6") {
-    ohp = stack->add(std::make_unique<hds::OHPPolling>());
-  } else if (o.stack == "fig7") {
-    hsig = stack->add(std::make_unique<hds::HSigmaComponent>(o.step_len_ms));
-  } else if (o.stack == "fig8") {
-    ohp = stack->add(std::make_unique<hds::OHPPolling>());
-    hds::MajorityConsensusConfig ccfg;
-    ccfg.n = n;
-    ccfg.t = o.t_known;
-    ccfg.proposal = o.proposal;
-    ccfg.guard_poll = 5;
-    ccfg.redecide_interval_ms = o.redecide_ms;
-    cons8 = stack->add(std::make_unique<hds::MajorityHOmegaConsensus>(ccfg, *ohp));
-  } else if (o.stack == "fig9") {
-    ohp = stack->add(std::make_unique<hds::OHPPolling>());
-    hsig = stack->add(std::make_unique<hds::HSigmaComponent>(o.step_len_ms));
-    cons9 = stack->add(std::make_unique<hds::QuorumConsensus>(
-        hds::QuorumConsensusConfig{o.proposal, 5}, *ohp, *hsig));
-  } else if (o.stack == "smr") {
-    ohp = stack->add(std::make_unique<hds::OHPPolling>());
-    hds::smr::SmrConfig scfg;
-    scfg.n = n;
-    scfg.t = o.t_known;
-    scfg.replica = self;
-    scfg.batch_interval = o.smr_batch_ms;
-    scfg.ack_interval = o.smr_ack_ms;
-    scfg.lease_poll = o.smr_lease_ms;
-    scfg.guard_poll = 5;
-    hds::smr::WorkloadConfig wcfg;
-    wcfg.clients = o.clients;
-    wcfg.op_size = o.op_size;
-    wcfg.seed = o.net.seed;
-    smr = stack->add(std::make_unique<hds::smr::SmrReplica>(scfg, *ohp, wcfg));
-  } else {
-    throw std::runtime_error("config: unknown stack " + o.stack);
-  }
+  hds::node::NodeStack built = hds::node::build_stack(o.stack);
+  hds::OHPPolling* ohp = built.ohp;
+  hds::HSigmaComponent* hsig = built.hsig;
+  hds::MajorityHOmegaConsensus* cons8 = built.cons8;
+  hds::QuorumConsensus* cons9 = built.cons9;
+  hds::smr::SmrReplica* smr = built.smr;
   if (ohp != nullptr) ohp->attach_metrics(metrics_ptr);
   if (hsig != nullptr) hsig->attach_metrics(metrics_ptr);
   if (cons8 != nullptr) cons8->attach_metrics(metrics_ptr);
@@ -341,7 +266,7 @@ int run(const NodeOptions& o) {
   if (smr != nullptr) smr->attach_metrics(metrics_ptr);
   if (ohp != nullptr) ohp->set_output_listener(wq.listener(self));
   if (hsig != nullptr) hsig->set_output_listener(wq.listener(self));
-  sys.set_process(std::move(stack));
+  sys.set_process(std::move(built.process));
 
   // Pull-side health plane: the hds-admin-v1 STATS/STATUS service hds_top
   // polls. STATS is the Prometheus exposition of the full registry (window
@@ -362,7 +287,7 @@ int run(const NodeOptions& o) {
     st["schema"] = "hds-node-status-v1";
     st["self"] = self;
     st["id"] = sys.id_of(self);
-    st["stack"] = o.stack;
+    st["stack"] = o.stack.stack;
     st["epoch"] = sys.epoch();
     st["reliable"] = sys.reliable();
     const bool started = node_started.load(std::memory_order_acquire);
@@ -533,7 +458,7 @@ int run(const NodeOptions& o) {
 
   Json result = Json::object();
   result["schema"] = "hds-node-result-v1";
-  result["stack"] = o.stack;
+  result["stack"] = o.stack.stack;
   result["self"] = self;
   result["id"] = sys.id_of(self);
   bool ok = true;
