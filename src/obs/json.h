@@ -1,8 +1,8 @@
 // Minimal JSON document model: parse, navigate, build, serialize.
 //
 // The observability layer emits JSON in several places (metrics snapshots,
-// trace exports, the QoS report) and the regression tooling must *read* it
-// back (the committed BENCH_qos_baseline.json). This is the smallest value
+// trace exports, the QoS report) and the tools must *read* it back (chaos
+// repros, node configs, benchmark baselines). This is the smallest value
 // type that closes that loop without an external dependency: numbers are
 // doubles (every quantity we serialize — ticks, counts, rates — fits a
 // double exactly up to 2^53), objects preserve key order by sorting
@@ -96,7 +96,7 @@ class Json {
 };
 
 // File round-trip helpers shared by every JSON-speaking CLI tool
-// (hds_chaos repros, hds_report baselines, hds_node configs), so "read the
+// (hds_chaos repros, hds_bench_compare baselines, hds_node configs), so "read the
 // whole file / write it back / fail with the path in the message" exists
 // exactly once. All three throw std::runtime_error naming the path;
 // load_json_file lets JsonParseError (a runtime_error) propagate so callers

@@ -118,7 +118,6 @@ TEST(OHPPolling, ReplyRangesCoverMissedRounds) {
   // Now verify by acting as the poller with id 7: simulate that the replies
   // would cover rounds 3..9 — we check via the network stats that exactly 2
   // replies were sent (one for round <=2, one for 3..9).
-  // One copy: each net_stats() call rebuilds the map it returns.
   const NetworkStats stats = sys.net_stats();
   auto it = stats.broadcasts_by_type.find(OHPPolling::kReplyType);
   ASSERT_NE(it, stats.broadcasts_by_type.end());

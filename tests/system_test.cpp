@@ -273,6 +273,29 @@ TEST(System, DeliveryLatencyAccounting) {
   EXPECT_DOUBLE_EQ(stats.mean_latency(), 2.0);
 }
 
+TEST(System, NetStatsKeptFromOneCallDoNotChangeOnTheNext) {
+  // Process 0 broadcasts at start and again when its timer fires at t = 5.
+  System sys(base_config(3));
+  for (ProcIndex i = 0; i < 3; ++i) {
+    auto r = std::make_unique<Recorder>();
+    if (i == 0) {
+      r->broadcast_on_start = true;
+      r->broadcast_on_timer = true;
+      r->timer_delay = 5;
+    }
+    sys.set_process(i, std::move(r));
+  }
+  sys.start();
+  sys.run_until(2);
+  const NetworkStats& first = sys.net_stats();
+  sys.run_until(20);
+  const NetworkStats& second = sys.net_stats();
+  EXPECT_EQ(first.broadcasts, 1u);
+  EXPECT_EQ(first.broadcasts_by_type.at("PING"), 1u);
+  EXPECT_EQ(second.broadcasts, 2u);
+  EXPECT_EQ(second.broadcasts_by_type.at("PING"), 2u);
+}
+
 TEST(System, GroundTruthAccessors) {
   auto cfg = base_config(4);
   cfg.crashes = {std::nullopt, CrashPlan{5}, std::nullopt, CrashPlan{8}};

@@ -679,6 +679,12 @@ int main(int argc, char** argv) {
     std::cerr << "hds_cluster: cannot create " << o.dir << "\n";
     return 2;
   }
+  // A previous run's endpoints in the same --dir would send hds_top (and the
+  // --no-trace fallback publication) to that run's dead ports.
+  std::remove((o.dir + "/admin_endpoints.json").c_str());
+  for (std::size_t i = 0; i < o.n; ++i) {
+    std::remove((o.dir + "/node" + std::to_string(i) + ".admin_port").c_str());
+  }
   try {
     return run(o);
   } catch (const std::exception& e) {

@@ -3,7 +3,7 @@
 //   hds_node --config node.json
 //
 // The config (schema hds-node-config-v1, loaded with the same
-// obs::load_json_file helper as hds_chaos/hds_report) describes the whole
+// obs::load_json_file helper as hds_chaos/hds_top) describes the whole
 // cluster and which slot this process occupies:
 //
 //   {

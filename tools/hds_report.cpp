@@ -1,4 +1,4 @@
-// hds_report — regression-aware failure-detector QoS report.
+// hds_report — the paper's failure-detector claims as QoS numbers.
 //
 // Runs a seeded sweep over homonymy degrees (distinct identifiers ell among
 // n processes) and, per sweep point, measures three detector families:
@@ -11,20 +11,22 @@
 //     --stack fig9: Fig. 6 + Fig. 7-adapter ▸ Fig. 9 under a known bound);
 //   - the replicated log (src/smr) on the HΩ-oracle substrate: closed-loop
 //     client throughput, commit-latency p50/p99 and the appends-per-batch
-//     fast-path ratio, all seed-deterministic and baseline-compared like
-//     the detector metrics.
+//     fast-path ratio.
 //
-// Everything is deterministic in (n, t, delta, seed, ell), so measured
-// scalars are exactly reproducible and a committed baseline
-// (BENCH_qos_baseline.json) can be compared with a small tolerance that
-// only forgives intentional re-baselining slack, not noise. A regression
-// makes the exit status 2, which is what CI keys off.
+// Everything is a pure function of (stack, n, t, delta, seed, ell), so the
+// report is byte-identical at every -j and --shards. The `qos_report` ctest
+// diffs the fig8 and fig9 sweeps at n = 5, seed 1 against the committed
+// docs/qos_report_fig8.json and docs/qos_report_fig9.json byte for byte.
 //
-// Outputs: a JSON document (schema hds-qos-report-v1), a Markdown summary
+// The exit status is 1, naming the config on stderr, when a replicated-log
+// run did not converge, its applied prefixes diverged, or the ell = n run
+// committed no op. These hold at every configuration, so a regenerated
+// golden cannot bless a broken run.
+//
+// Outputs: a JSON document (schema hds-qos-report-v2), a Markdown summary
 // mapping EXPERIMENTS.md claims to measured QoS numbers, and one metrics
 // snapshot per sweep point.
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -44,11 +46,7 @@ namespace {
 
 using hds::obs::Json;
 
-constexpr const char* kReportSchema = "hds-qos-report-v1";
-constexpr const char* kBaselineSchema = "hds-qos-baseline-v1";
-// Absolute slack on top of the relative tolerance: a 1-tick jitter on a
-// 2-tick metric is not a regression.
-constexpr double kAbsSlack = 2.0;
+constexpr const char* kReportSchema = "hds-qos-report-v2";
 
 struct Options {
   std::string stack = "fig8";  // fig8 | fig9
@@ -60,9 +58,6 @@ struct Options {
   std::string out_dir = ".";
   std::string json_path;  // default: <out_dir>/qos_report.json
   std::string md_path;    // default: <out_dir>/qos_report.md
-  std::string baseline = "BENCH_qos_baseline.json";
-  bool write_baseline = false;
-  double tolerance = 0.25;
   std::size_t jobs = 1;    // sweep-point parallelism; 0 = hardware concurrency
   std::size_t shards = 1;  // per-run engine shards (consensus-stack runs only)
 };
@@ -70,14 +65,13 @@ struct Options {
 void usage(std::ostream& os) {
   os << "usage: hds_report [--stack fig8|fig9] [--n N] [--t T] [--delta D]\n"
         "                  [--seed S] [--ell L1,L2,...] [--out-dir DIR]\n"
-        "                  [--json PATH] [--md PATH] [--baseline PATH]\n"
-        "                  [--write-baseline] [--tolerance R] [-j N | --jobs N]\n"
-        "                  [--shards K]\n"
+        "                  [--json PATH] [--md PATH] [-j N | --jobs N] [--shards K]\n"
         "-j 0 means one worker per hardware thread; results are identical\n"
         "for every -j (each sweep point is an isolated, seed-derived run)\n"
         "--shards K runs the consensus-stack point on K engine shards —\n"
         "bit-identical output for every K (runs with observers stay at 1)\n"
-        "exit status: 0 clean, 1 usage/run error, 2 QoS regression\n";
+        "exit status: 0 clean, 1 usage/run error or a replicated-log run that\n"
+        "did not converge, diverged, or committed nothing at ell = n\n";
 }
 
 std::vector<std::size_t> parse_ells(const std::string& csv) {
@@ -106,8 +100,6 @@ bool parse_args(int argc, char** argv, Options& o) {
       {"--out-dir", [&](const std::string& v) { o.out_dir = v; }},
       {"--json", [&](const std::string& v) { o.json_path = v; }},
       {"--md", [&](const std::string& v) { o.md_path = v; }},
-      {"--baseline", [&](const std::string& v) { o.baseline = v; }},
-      {"--tolerance", [&](const std::string& v) { o.tolerance = std::stod(v); }},
       {"-j", jobs},
       {"--jobs", jobs},
       {"--shards",
@@ -124,10 +116,6 @@ bool parse_args(int argc, char** argv, Options& o) {
     if (flag == "--help" || flag == "-h") {
       usage(std::cout);
       std::exit(0);
-    }
-    if (flag == "--write-baseline") {
-      o.write_baseline = true;
-      continue;
     }
     const auto it = flags.find(flag);
     if (it == flags.end()) {
@@ -168,15 +156,7 @@ bool parse_args(int argc, char** argv, Options& o) {
   return true;
 }
 
-// Scalars tracked against the baseline, per sweep point.
 using MetricMap = std::map<std::string, double>;
-
-// Metrics where larger is better; everything else regresses upward.
-bool higher_is_better(const std::string& name) {
-  return name.ends_with("converged") || name.ends_with("quorum_margin_min") ||
-         name.ends_with("quora_distinct") || name.ends_with("decided") ||
-         name.ends_with("ops_total") || name.ends_with("ops_per_ktick");
-}
 
 struct SweepResult {
   std::string key;  // "ell=3"
@@ -191,10 +171,11 @@ struct SweepResult {
   std::map<std::string, std::size_t> monitor_by_rule;
   std::string metrics_json;  // full registry snapshot of this sweep point
   // Causal trace accounting of the consensus-stack run (ring retention vs
-  // TraceLog::dropped() evictions). Informational: kept out of the
-  // baseline-compared metric map.
+  // TraceLog::dropped() evictions). Informational: kept out of the metric
+  // map.
   std::size_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
+  std::vector<std::string> violated;  // failed replicated-log properties
 };
 
 SweepResult run_sweep_point(const Options& o, std::size_t ell) {
@@ -309,9 +290,10 @@ SweepResult run_sweep_point(const Options& o, std::size_t ell) {
   }
 
   // Replicated log: the closed-loop workload on the HΩ-oracle substrate,
-  // crash-free so the scalars price the lease fast path itself. Everything
-  // here is a pure function of (n, t, seed, ell) — exactly reproducible,
-  // so it folds into the same baseline comparison as the detector QoS.
+  // crash-free so the scalars price the lease fast path itself. Convergence
+  // and prefix consistency hold at every ell; ops commit at least when every
+  // identifier is unique, since the lease needs a uniquely carried leader
+  // identifier (docs/smr.md).
   {
     hds::smr::SmrSimParams p;
     p.t = o.t;
@@ -322,6 +304,9 @@ SweepResult run_sweep_point(const Options& o, std::size_t ell) {
     p.workload.clients = 16;
     p.metrics = &reg;
     const hds::smr::SmrSimResult r = hds::smr::run_smr_sim(p);
+    if (!r.converged) out.violated.push_back("replicated log did not converge");
+    if (!r.prefix_consistent) out.violated.push_back("applied prefixes diverged");
+    if (ell == o.n && r.ops_total == 0) out.violated.push_back("no op committed at ell = n");
     out.metrics["smr_converged"] = r.converged ? 1 : 0;
     out.metrics["smr_ops_total"] = static_cast<double>(r.ops_total);
     out.metrics["smr_ops_per_ktick"] = r.ops_per_ktick;
@@ -353,77 +338,7 @@ SweepResult run_sweep_point(const Options& o, std::size_t ell) {
   return out;
 }
 
-struct Regression {
-  std::string config;
-  std::string metric;
-  double baseline = 0;
-  double measured = 0;
-  std::string kind;  // "worse" | "sign"
-};
-
-void compare_against_baseline(const Json& baseline, const Options& o,
-                              const std::vector<SweepResult>& sweeps,
-                              std::vector<Regression>& regressions,
-                              std::vector<std::string>& notes) {
-  if (baseline.string_or("schema", "") != kBaselineSchema) {
-    notes.push_back("baseline has unexpected schema; comparison skipped");
-    return;
-  }
-  const Json* configs = baseline.find("configs");
-  if (configs == nullptr || !configs->is_object()) {
-    notes.push_back("baseline has no configs; comparison skipped");
-    return;
-  }
-  for (const SweepResult& s : sweeps) {
-    const Json* base_cfg = configs->find(s.key);
-    if (base_cfg == nullptr) {
-      notes.push_back("baseline has no config " + s.key + "; skipped");
-      continue;
-    }
-    for (const auto& [name, measured] : s.metrics) {
-      const Json* bv = base_cfg->find(name);
-      if (bv == nullptr || !bv->is_number()) {
-        notes.push_back("baseline " + s.key + " lacks metric " + name + "; skipped");
-        continue;
-      }
-      const double b = bv->number();
-      // -1 is the "absent / never happened" sentinel on several metrics; a
-      // sentinel flip in either direction is a behavioural change, not a
-      // magnitude change, so it is always reported.
-      if ((b < 0) != (measured < 0)) {
-        regressions.push_back(Regression{s.key, name, b, measured, "sign"});
-        continue;
-      }
-      if (b < 0) continue;  // both absent: nothing to compare
-      const bool worse = higher_is_better(name)
-                             ? measured < b * (1.0 - o.tolerance) - kAbsSlack
-                             : measured > b * (1.0 + o.tolerance) + kAbsSlack;
-      if (worse) regressions.push_back(Regression{s.key, name, b, measured, "worse"});
-    }
-  }
-}
-
-Json baseline_json(const Options& o, const std::vector<SweepResult>& sweeps) {
-  Json out = Json::object();
-  out["schema"] = Json(kBaselineSchema);
-  out["stack"] = Json(o.stack);
-  out["n"] = Json(o.n);
-  out["t"] = Json(o.t);
-  out["delta"] = Json(o.delta);
-  out["seed"] = Json(o.seed);
-  Json configs = Json::object();
-  for (const SweepResult& s : sweeps) {
-    Json m = Json::object();
-    for (const auto& [name, v] : s.metrics) m[name] = Json(v);
-    configs[s.key] = std::move(m);
-  }
-  out["configs"] = std::move(configs);
-  return out;
-}
-
-Json report_json(const Options& o, const std::vector<SweepResult>& sweeps,
-                 const std::vector<Regression>& regressions,
-                 const std::vector<std::string>& notes, bool baseline_loaded) {
+Json report_json(const Options& o, const std::vector<SweepResult>& sweeps) {
   Json out = Json::object();
   out["schema"] = Json(kReportSchema);
   out["stack"] = Json(o.stack);
@@ -431,8 +346,6 @@ Json report_json(const Options& o, const std::vector<SweepResult>& sweeps,
   out["t"] = Json(o.t);
   out["delta"] = Json(o.delta);
   out["seed"] = Json(o.seed);
-  out["tolerance"] = Json(o.tolerance);
-  out["baseline"] = baseline_loaded ? Json(o.baseline) : Json();
   Json cfgs = Json::array();
   for (const SweepResult& s : sweeps) {
     Json c = Json::object();
@@ -459,32 +372,14 @@ Json report_json(const Options& o, const std::vector<SweepResult>& sweeps,
     cfgs.push_back(std::move(c));
   }
   out["configs"] = std::move(cfgs);
-  Json regs = Json::array();
-  for (const Regression& r : regressions) {
-    Json rec = Json::object();
-    rec["config"] = Json(r.config);
-    rec["metric"] = Json(r.metric);
-    rec["baseline"] = Json(r.baseline);
-    rec["measured"] = Json(r.measured);
-    rec["kind"] = Json(r.kind);
-    regs.push_back(std::move(rec));
-  }
-  out["regressions"] = std::move(regs);
-  Json ns = Json::array();
-  for (const std::string& n : notes) ns.push_back(Json(n));
-  out["notes"] = std::move(ns);
   return out;
 }
 
-std::string markdown_report(const Options& o, const std::vector<SweepResult>& sweeps,
-                            const std::vector<Regression>& regressions,
-                            const std::vector<std::string>& notes, bool baseline_loaded) {
+std::string markdown_report(const Options& o, const std::vector<SweepResult>& sweeps) {
   std::ostringstream md;
   md << "# HDS failure-detector QoS report\n\n";
   md << "- stack: `" << o.stack << "`, n=" << o.n << ", t=" << o.t << ", delta=" << o.delta
-     << ", seed=" << o.seed << "\n";
-  md << "- baseline: " << (baseline_loaded ? "`" + o.baseline + "`" : "(none)")
-     << ", tolerance ±" << static_cast<int>(o.tolerance * 100) << "%\n\n";
+     << ", seed=" << o.seed << "\n\n";
 
   for (const SweepResult& s : sweeps) {
     md << "## " << s.key << " (" << s.ell << " distinct identifier"
@@ -522,26 +417,6 @@ std::string markdown_report(const Options& o, const std::vector<SweepResult>& sw
             "of homonymy, so no replica may claim the lease (see "
             "docs/smr.md); 0 ops committed\n\n";
     }
-  }
-
-  md << "## Regressions\n\n";
-  if (!baseline_loaded) {
-    md << "No baseline loaded; nothing compared.\n\n";
-  } else if (regressions.empty()) {
-    md << "None. All tracked metrics within tolerance of the baseline.\n\n";
-  } else {
-    md << "| config | metric | baseline | measured | kind |\n|---|---|---|---|---|\n";
-    for (const Regression& r : regressions) {
-      md << "| " << r.config << " | " << r.metric << " | " << r.baseline << " | " << r.measured
-         << " | " << r.kind << " |\n";
-    }
-    md << "\n";
-  }
-
-  if (!notes.empty()) {
-    md << "## Notes\n\n";
-    for (const std::string& n : notes) md << "- " << n << "\n";
-    md << "\n";
   }
 
   md << "## Paper-claim mapping\n\n"
@@ -593,46 +468,20 @@ int main(int argc, char** argv) {
               << timings.mean_ms() << " ms, imbalance " << timings.imbalance() << "x\n";
   }
 
-  if (o.write_baseline) {
-    if (!write_file(o.baseline, baseline_json(o, sweeps).dump(2) + "\n")) return 1;
-    std::cerr << "hds_report: wrote baseline " << o.baseline << '\n';
-  }
-
-  std::vector<Regression> regressions;
-  std::vector<std::string> notes;
-  bool baseline_loaded = false;
-  try {
-    const Json baseline = hds::obs::load_json_file(o.baseline);
-    baseline_loaded = true;
-    if (o.write_baseline) {
-      notes.push_back("baseline freshly written; comparison is a self-check");
-    }
-    compare_against_baseline(baseline, o, sweeps, regressions, notes);
-  } catch (const hds::obs::JsonParseError& e) {
-    std::cerr << "hds_report: baseline unreadable: " << e.what() << '\n';
-    return 1;
-  } catch (const std::runtime_error&) {
-    notes.push_back("no baseline at " + o.baseline + "; regression check skipped");
-  }
-
-  const Json report = report_json(o, sweeps, regressions, notes, baseline_loaded);
-  if (!write_file(o.json_path, report.dump(2) + "\n")) return 1;
-  if (!write_file(o.md_path, markdown_report(o, sweeps, regressions, notes, baseline_loaded))) {
-    return 1;
-  }
+  if (!write_file(o.json_path, report_json(o, sweeps).dump(2) + "\n")) return 1;
+  if (!write_file(o.md_path, markdown_report(o, sweeps))) return 1;
   for (const SweepResult& s : sweeps) {
     write_file(o.out_dir + "/qos_metrics_" + s.key + ".json", s.metrics_json + "\n");
   }
 
   std::cerr << "hds_report: wrote " << o.json_path << " and " << o.md_path << '\n';
-  if (!regressions.empty()) {
-    std::cerr << "hds_report: " << regressions.size() << " regression(s) against " << o.baseline
-              << '\n';
-    for (const Regression& r : regressions) {
-      std::cerr << "  " << r.config << " " << r.metric << ": baseline " << r.baseline
-                << " -> measured " << r.measured << " (" << r.kind << ")\n";
+  int status = 0;
+  for (const SweepResult& s : sweeps) {
+    for (const std::string& v : s.violated) {
+      std::cerr << "hds_report: " << o.stack << " n=" << o.n << " t=" << o.t << " delta=" << o.delta
+                << " seed=" << o.seed << ' ' << s.key << ": property violated: " << v << '\n';
+      status = 1;
     }
-    return 2;
   }
-  return 0;
+  return status;
 }

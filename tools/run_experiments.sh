@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Reproduces everything: build, full test suite, the paper's series, every
-# benchmark, the trace/metrics exports, and the QoS report with its
-# regression check.
+# benchmark, the trace/metrics exports, and the QoS report.
 #
 # All artifacts of one invocation land in experiments_out/<UTC timestamp>/:
 #   test_output.txt           full ctest transcript
@@ -12,11 +11,12 @@
 #   fig8_trace.json / .jsonl  structured event log exports
 #   cluster_fig8/             3-process UDP deployment: per-node configs,
 #                             stdout/stderr, metrics, summary.json
-#   qos_report.{json,md}      QoS sweep + regression verdict
+#   qos_report.{json,md}      QoS sweep, equal to docs/qos_report_fig8.json
+#                             when the tests pass
 #   qos_metrics_*.json        per-sweep-point metrics snapshots
 #
 # Exits nonzero if the build, the tests, a paper-series property check, or
-# the QoS regression check fail.
+# a QoS replicated-log property check fail.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,18 +50,11 @@ build/tools/trace_export --stack fig8 --n 5 --crashes 1 --seed 1 \
   --jsonl "$OUT/fig8_events.jsonl" \
   --metrics "$OUT/fig8_metrics.json"
 
-# QoS sweep against the committed baseline; a regression fails the script
-# (after everything above has been collected).
-qos_status=0
-build/tools/hds_report --stack fig8 --n 5 --seed 1 -j "$JOBS" \
-  --out-dir "$OUT" --baseline BENCH_qos_baseline.json || qos_status=$?
+# QoS sweep; the qos_report ctest above diffs it against its golden.
+build/tools/hds_report --stack fig8 --n 5 --seed 1 -j "$JOBS" --out-dir "$OUT"
 
 # Seeded chaos sweep on the parallel engine (case set is -j independent).
 build/tools/hds_chaos --fuzz 4 --stack all --seed-base 1 -j "$JOBS" \
   --out "$OUT/chaos_repro.json"
 
 echo "done: artifacts in $OUT"
-if [ "$qos_status" -ne 0 ]; then
-  echo "QoS regression check FAILED (exit $qos_status); see $OUT/qos_report.md" >&2
-  exit "$qos_status"
-fi
